@@ -15,11 +15,16 @@ Feature columns, in fixed order:
 
 q* is the low-pass-filtered cloud: each coordinate column solves the
 positive definite system (I + gamma L) q*_c = p_c, so large gamma pulls
-q* toward the graph consensus and h measures high-frequency content.
+q* toward the graph consensus and h measures high-frequency content. By
+default the three columns are solved together by Jacobi-preconditioned
+block conjugate gradient; sparse LU is the fallback when gamma times the
+largest degree makes the system ill conditioned or CG does not converge.
+The test oracle solves the same system densely.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +40,13 @@ FEATURE_NAMES = tuple(f"f{j}" for j in range(1, NUM_FEATURES + 1))
 # Column positions (0-based) of the sign- and integrality-constrained features.
 _NONNEGATIVE_COLUMNS = (0, 7, 9, 11, 12)  # f1, f8, f10, f12, f13
 _COUNT_COLUMN = 10  # f11
+
+# I + gamma L has condition number at most 1 + 2 gamma d_max, with or
+# without Jacobi scaling. Up to this bound on gamma * d_max block CG beat
+# sparse LU at every size measured (2-core x86: the two break even near
+# gamma * d_max = 45 at n = 1024 and above 200 at n = 10k); above it LU runs.
+_PCG_MAX_GAMMA_DEGREE = 32.0
+_PCG_RTOL = 1e-12  # per-column ||r|| / ||p|| at which CG stops
 
 
 @dataclass(frozen=True)
@@ -97,21 +109,71 @@ def variation_smoothness(graph: NeighborhoodGraph, v: np.ndarray) -> tuple[np.nd
     return transition_apply(graph, v), laplacian_apply(graph, v)
 
 
+def _block_pcg(system: sp.csr_matrix, rhs: np.ndarray, diag: np.ndarray, max_iter: int):
+    """Jacobi-preconditioned CG on every column of ``rhs`` at once, from x0 = rhs.
+
+    The columns share one sparse matvec per step but keep their own step
+    sizes. A column stops once ||r|| <= _PCG_RTOL ||rhs||; it is then frozen
+    by a mask, so an all-zero column (r = 0 from the start) never divides
+    0 by 0. Returns None if any column is still running after ``max_iter``.
+    """
+    # Power-of-two column scaling is exact and leaves every step unchanged,
+    # but keeps the squared norms from underflowing (overflowing) when the
+    # coordinates are below about 1e-154 (above 1e154) in magnitude.
+    scale = np.ldexp(1.0, np.frexp(np.abs(rhs).max(axis=0))[1])
+    b = rhs / scale
+    x = b.copy()
+    r = b - system @ x
+    z = r / diag[:, None]
+    d = z.copy()
+    rz = np.einsum("ij,ij->j", r, z)
+    target = _PCG_RTOL * np.linalg.norm(b, axis=0)
+    # Written so that a NaN residual keeps its column running into the cap.
+    active = ~(np.linalg.norm(r, axis=0) <= target)
+    for _ in range(max_iter):
+        if not active.any():
+            break
+        ad = system @ d
+        dad = np.einsum("ij,ij->j", d, ad)
+        alpha = np.divide(rz, dad, out=np.zeros_like(rz), where=active)
+        x += alpha * d
+        r -= alpha * ad
+        z = r / diag[:, None]
+        rz_next = np.einsum("ij,ij->j", r, z)
+        d = z + np.divide(rz_next, rz, out=np.zeros_like(rz), where=active) * d
+        rz = rz_next
+        active = ~(np.linalg.norm(r, axis=0) <= target)
+    return None if active.any() else x * scale
+
+
 def lpf_solve(graph: NeighborhoodGraph, cloud: PointCloud, config: LpfConfig) -> np.ndarray:
     """Low-pass-filter the coordinates: solve (I + gamma L) q*_c = p_c per column.
 
-    The system matrix is symmetric positive definite, so a sparse direct
-    factorization always succeeds; the residual is still checked because the
-    check is cheap and guards against factorization bugs.
+    The system matrix is symmetric positive definite with spectrum in
+    [1, 1 + 2 gamma d_max]. While gamma * d_max <= _PCG_MAX_GAMMA_DEGREE it
+    is solved by Jacobi-preconditioned block CG; above that bound, or if CG
+    reaches the iteration cap the same bound implies, by sparse LU. Either
+    way the residual is checked, which guards both solvers.
     """
     points = cloud.points
-    system = (sp.identity(graph.n, format="csr") + config.gamma * graph.laplacian).tocsc()
-    qstar = splu(system).solve(np.array(points))
+    system = sp.identity(graph.n, format="csr") + config.gamma * graph.laplacian
+    gamma_dmax = config.gamma * float(graph.degrees.max())
+    qstar = None
+    if gamma_dmax <= _PCG_MAX_GAMMA_DEGREE:
+        # CG reduces the residual by rtol within about (sqrt(kappa) / 2)
+        # ln(2 kappa / rtol) steps at condition number kappa; reaching the
+        # cap means rounding has stalled it.
+        kappa = 1.0 + 2.0 * gamma_dmax
+        max_iter = math.ceil(0.5 * math.sqrt(kappa) * math.log(2.0 * kappa / _PCG_RTOL))
+        qstar = _block_pcg(system, points, 1.0 + config.gamma * graph.degrees, max_iter)
+    if qstar is None:
+        qstar = splu(system.tocsc()).solve(np.array(points))
 
     # Relative residual bound, widened by the matvec rounding floor
-    # eps*||M||*||q|| which dominates only for extreme gamma (~1e9).
+    # eps*||M||*||q|| which dominates only for extreme gamma (~1e9); the
+    # max absolute row sum ||M|| of I + gamma L is 1 + 2 gamma d_max.
     residual = np.linalg.norm(system @ qstar - points, axis=0)
-    floor = 64.0 * np.finfo(np.float64).eps * np.abs(system).sum(axis=1).max()
+    floor = 64.0 * np.finfo(np.float64).eps * (1.0 + 2.0 * gamma_dmax)
     allowed = np.maximum(
         1e-8 * np.linalg.norm(points, axis=0),
         floor * np.linalg.norm(qstar, axis=0),

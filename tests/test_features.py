@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import splu
 
 import oracles
+from pointdrop import features
 from pointdrop import (
     FEATURE_NAMES,
     FeatureMatrix,
@@ -23,6 +27,7 @@ from pointdrop import (
     variation_smoothness,
     weighted_avg_coords,
 )
+from test_acceptance import box_cloud
 
 PATH3 = PointCloud([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
 
@@ -189,6 +194,94 @@ class TestLpf:
         np.testing.assert_allclose(hbar, ref[:, 12], atol=1e-9)
         np.testing.assert_allclose(htilde, ref[:, 13], atol=1e-9)
 
+
+@pytest.fixture
+def lu_calls(monkeypatch):
+    """Count the sparse LU factorizations lpf_solve makes."""
+    calls = []
+
+    def counting_splu(matrix):
+        calls.append(matrix.shape)
+        return splu(matrix)
+
+    monkeypatch.setattr(features, "splu", counting_splu)
+    return calls
+
+
+def _lu_reference(graph, cloud, gamma):
+    system = (sp.identity(graph.n) + gamma * graph.laplacian).tocsc()
+    return splu(system).solve(np.array(cloud.points))
+
+
+class TestLpfSolvers:
+    @pytest.mark.parametrize("n", [64, 1024])
+    @pytest.mark.parametrize("gamma", [0.1, 0.5, 2.0])
+    def test_cg_matches_lu(self, lu_calls, n, gamma):
+        cloud = box_cloud(np.random.default_rng(n), n=n)
+        g = build_knn_graph(cloud, k=10)
+        q = lpf_solve(g, cloud, LpfConfig(gamma))
+        assert lu_calls == []
+        assert np.abs(q - _lu_reference(g, cloud, gamma)).max() <= 1e-10
+
+    def test_huge_gamma_takes_lu(self, lu_calls):
+        cloud = box_cloud(np.random.default_rng(30), n=64)
+        g = build_knn_graph(cloud, k=10)
+        q = lpf_solve(g, cloud, LpfConfig(1e9))
+        assert lu_calls == [(64, 64)]
+        np.testing.assert_array_equal(q, _lu_reference(g, cloud, 1e9))
+
+    def test_iteration_cap_falls_back_to_lu(self, lu_calls, monkeypatch):
+        # No column meets this tolerance before its recurrence underflows
+        # (0/0 = NaN keeps it running), so CG runs into its iteration cap.
+        monkeypatch.setattr(features, "_PCG_RTOL", 1e-300)
+        cloud = box_cloud(np.random.default_rng(31), n=64)
+        g = build_knn_graph(cloud, k=10)
+        with np.errstate(invalid="ignore"):
+            q = lpf_solve(g, cloud, LpfConfig(0.5))
+        assert lu_calls == [(64, 64)]
+        np.testing.assert_array_equal(q, _lu_reference(g, cloud, 0.5))
+
+    def test_planar_cloud_zero_column(self, lu_calls):
+        pts = np.random.default_rng(32).uniform(-1.0, 1.0, size=(200, 3))
+        pts[:, 2] = 0.0
+        cloud = PointCloud(pts)
+        g = build_knn_graph(cloud, k=8)
+        q = lpf_solve(g, cloud, LpfConfig(0.5))
+        assert lu_calls == []
+        assert np.all(q[:, 2] == 0.0)
+        assert np.abs(q - _lu_reference(g, cloud, 0.5)).max() <= 1e-10
+        assert np.all(np.isfinite(extract_features(cloud, k=8).values))
+
+    def test_disconnected_graph(self, lu_calls):
+        rng = np.random.default_rng(33)
+        pts = np.vstack([rng.normal(size=(12, 3)), rng.normal(size=(12, 3)) + 100.0])
+        cloud = PointCloud(pts)
+        g = build_knn_graph(cloud, k=3)
+        assert connected_components(g.adjacency, directed=False)[0] == 2
+        q = lpf_solve(g, cloud, LpfConfig(0.5))
+        assert lu_calls == []
+        dense = np.linalg.solve(np.eye(24) + 0.5 * g.laplacian.toarray(), pts)
+        np.testing.assert_allclose(q, dense, atol=1e-10)
+        ref = oracles.naive_features(pts, k=3, gamma=0.5)
+        assert np.abs(extract_features(cloud, k=3).values - ref).max() < 1e-9
+
+    def test_two_points(self, lu_calls):
+        cloud = PointCloud([[0.0, 0.0, 0.0], [1.0, 2.0, 0.0]])
+        g = build_knn_graph(cloud, k=1, sigma=1.0)
+        q = lpf_solve(g, cloud, LpfConfig(0.5))
+        assert lu_calls == []
+        dense = np.linalg.solve(np.eye(2) + 0.5 * g.laplacian.toarray(), cloud.points)
+        np.testing.assert_allclose(q, dense, atol=1e-12)
+        assert np.all(q[:, 2] == 0.0)
+
+    def test_extreme_coordinate_scales(self, lu_calls):
+        base = np.random.default_rng(34).normal(size=(64, 3))
+        for scale in (1e-160, 1e150):
+            cloud = PointCloud(base * scale)
+            g = build_knn_graph(cloud, k=6)
+            q = lpf_solve(g, cloud, LpfConfig(0.5))
+            assert np.abs(q - _lu_reference(g, cloud, 0.5)).max() <= 1e-10 * scale
+        assert lu_calls == []
 
 class TestScalarFeatures:
     def test_centroid_point_zero(self):
