@@ -178,7 +178,8 @@ def lpf_solve(graph: NeighborhoodGraph, cloud: PointCloud, config: LpfConfig) ->
         1e-8 * np.linalg.norm(points, axis=0),
         floor * np.linalg.norm(qstar, axis=0),
     )
-    if np.any(residual > allowed):
+    # Written so that a NaN residual or tolerance fails the check.
+    if not np.all(residual <= allowed):
         raise ValueError(
             f"low-pass solve failed: residual norms {residual.tolist()} "
             f"exceed tolerances {allowed.tolist()}"

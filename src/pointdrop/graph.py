@@ -2,7 +2,8 @@
 
 Each point is connected to its k Euclidean nearest neighbors (ties broken by
 lower point index) and the edge set is symmetrized by union, so no node is
-isolated. Edge weights follow a Gaussian kernel
+isolated; only rows whose k-th-distance tie is not yet inside the query
+window widen it. Edge weights follow a Gaussian kernel
 
     W[i, j] = exp(-||p_i - p_j||^2 / sigma^2)
 
@@ -57,36 +58,35 @@ class NeighborhoodGraph:
         return self.adjacency.nnz // 2
 
 
-def _knn_select(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and distances of each point's k nearest neighbors.
+def _knn_select(points: np.ndarray, k: int) -> np.ndarray:
+    """Indices of each point's k nearest neighbors, ordered by (distance, index).
 
-    Candidates are ordered by (distance, index), so equidistant neighbors
-    resolve to the lowest index. The query window grows until any tie at the
-    k-th position is fully covered, which keeps the selection deterministic.
+    A row is settled once the tie group at its k-th distance lies inside the
+    query window (that distance is below the window's last) or the window
+    spans the cloud; only unsettled rows are queried again, at twice the window.
     """
     n = len(points)
     tree = cKDTree(points)
+    selected = np.empty((n, k), dtype=np.intp)
+    rows = np.arange(n)
     kq = min(n, k + 2)
-    while True:
-        dist, nbr = tree.query(points, k=kq)
-        order = np.argsort(nbr, axis=1, kind="stable")
-        dist = np.take_along_axis(dist, order, axis=1)
-        nbr = np.take_along_axis(nbr, order, axis=1)
-        order = np.argsort(dist, axis=1, kind="stable")
-        dist = np.take_along_axis(dist, order, axis=1)
-        nbr = np.take_along_axis(nbr, order, axis=1)
+    while rows.size:
+        dist, nbr = tree.query(points[rows], k=kq)
+        if not np.all(np.isfinite(dist)):
+            raise ValueError("squared distances overflow: coordinates are too large in magnitude")
+        # Reordering within ties leaves the ascending distances in place.
+        nbr = np.take_along_axis(nbr, np.lexsort((nbr, dist)), axis=1)
         # Drop the self entry; under heavy duplication self may be absent
         # from the window, in which case the farthest candidate goes instead.
-        self_mask = nbr == np.arange(n)[:, None]
-        keep = ~self_mask
-        for i in np.nonzero(~self_mask.any(axis=1))[0]:
-            keep[i, -1] = False
-        dist = dist[keep].reshape(n, kq - 1)
-        nbr = nbr[keep].reshape(n, kq - 1)
-        boundary_tied = kq - 1 > k and np.any(dist[:, k - 1] == dist[:, k])
-        if kq >= n or not boundary_tied:
-            return nbr[:, :k], dist[:, :k]
+        keep = nbr != rows[:, None]
+        keep[keep.all(axis=1), -1] = False
+        nbr = nbr[keep].reshape(len(rows), kq - 1)
+        # dist[:, k] is the k-th neighbor's distance; all are 0 if self fell outside the window.
+        settled = (dist[:, k] < dist[:, -1]) | (kq >= n)
+        selected[rows[settled]] = nbr[settled, :k]
+        rows = rows[~settled]
         kq = min(n, 2 * kq)
+    return selected
 
 
 def build_knn_graph(cloud: PointCloud, k: int, sigma: float | None = None) -> NeighborhoodGraph:
@@ -109,11 +109,10 @@ def build_knn_graph(cloud: PointCloud, k: int, sigma: float | None = None) -> Ne
         raise ValueError(f"sigma must be positive, got {sigma}")
 
     points = cloud.points
-    nbr, _ = _knn_select(points, k)
 
     # Union symmetrization on undirected index pairs.
     rows = np.repeat(np.arange(n), k)
-    cols = nbr.ravel()
+    cols = _knn_select(points, k).ravel()
     lo = np.minimum(rows, cols)
     hi = np.maximum(rows, cols)
     key = np.unique(lo.astype(np.int64) * n + hi.astype(np.int64))

@@ -274,6 +274,15 @@ class TestLpfSolvers:
         np.testing.assert_allclose(q, dense, atol=1e-12)
         assert np.all(q[:, 2] == 0.0)
 
+    def test_nan_solution_fails_residual_check(self, monkeypatch):
+        monkeypatch.setattr(
+            features, "_block_pcg", lambda system, rhs, diag, max_iter: np.full_like(rhs, np.nan)
+        )
+        cloud = box_cloud(np.random.default_rng(35), n=64)
+        g = build_knn_graph(cloud, k=10)
+        with pytest.raises(ValueError, match="low-pass solve failed"):
+            lpf_solve(g, cloud, LpfConfig(0.5))
+
     def test_extreme_coordinate_scales(self, lu_calls):
         base = np.random.default_rng(34).normal(size=(64, 3))
         for scale in (1e-160, 1e150):

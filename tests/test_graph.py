@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from pointdrop import graph as graph_module
 from pointdrop import (
     PointCloud,
     build_knn_graph,
@@ -13,6 +14,7 @@ from pointdrop import (
     laplacian_apply,
     transition_apply,
 )
+from test_acceptance import box_cloud
 
 PATH3 = PointCloud([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
 
@@ -138,6 +140,62 @@ class TestConstruction:
         g = build_knn_graph(random_cloud(8, n=200), k=4)
         # Union of directed kNN keeps at most 2*n*k stored entries.
         assert g.adjacency.nnz <= 2 * 200 * 4
+
+
+def int_lattice(side):
+    axes = np.arange(float(side))
+    return np.array(np.meshgrid(axes, axes, axes, indexing="ij")).reshape(3, -1).T
+
+
+class TestKnnSelection:
+    def assert_matches_naive(self, pts, k):
+        expected = oracles.naive_knn(pts.tolist(), k)
+        np.testing.assert_array_equal(graph_module._knn_select(pts, k), expected)
+        w = build_knn_graph(PointCloud(pts), k=k).adjacency.tocoo()
+        union = {(min(i, j), max(i, j)) for i, row in enumerate(expected) for j in row}
+        assert set(zip(w.row.tolist(), w.col.tolist())) == union | {(j, i) for i, j in union}
+
+    def test_snapped_box_with_duplicates(self):
+        rng = np.random.default_rng(40)
+        pts = np.round(box_cloud(rng, n=260).points, 2)
+        pts = rng.permutation(np.vstack([pts, pts[:40]]))
+        self.assert_matches_naive(pts, 10)
+
+    @pytest.mark.parametrize("k", [3, 6, 26])
+    def test_integer_lattice(self, k):
+        self.assert_matches_naive(int_lattice(6), k)
+
+    def test_coincident_block_among_random(self):
+        rng = np.random.default_rng(41)
+        pts = np.vstack([np.full((30, 3), 0.25), rng.normal(size=(100, 3))])
+        for k in (5, 29, 30, 31):
+            self.assert_matches_naive(pts, k)
+
+    def test_k_is_n_minus_one(self):
+        pts = np.vstack([int_lattice(2), [[0.5, 0.5, 0.5]]])
+        self.assert_matches_naive(pts, len(pts) - 1)
+
+    def test_only_tied_rows_widen(self, monkeypatch):
+        calls = []
+
+        class RecordingTree(graph_module.cKDTree):
+            def query(self, x, k=1, **kwargs):
+                calls.append((len(x), k))
+                return super().query(x, k=k, **kwargs)
+
+        monkeypatch.setattr(graph_module, "cKDTree", RecordingTree)
+        pts = int_lattice(6)
+        n = len(pts)
+        build_knn_graph(PointCloud(pts), k=6)
+        assert calls[0] == (n, 8)
+        assert len(calls) > 1
+        assert all(rows < n for rows, _ in calls[1:])
+        assert all(k < n for _, k in calls)
+
+    def test_overflowing_distances_named(self):
+        cloud = PointCloud(np.random.default_rng(0).normal(size=(200, 3)) * 1e200)
+        with pytest.raises(ValueError, match="overflow"):
+            build_knn_graph(cloud, k=6)
 
 
 class TestSignalOps:
