@@ -19,25 +19,12 @@ from .attack import (
 from .features import (
     FEATURE_NAMES,
     FeatureMatrix,
-    LpfConfig,
     ball_count,
-    centroid_distance,
     extract_features,
     features_to_csv,
-    lpf_distance_features,
     lpf_solve,
-    local_variation,
-    second_diff_coords,
-    variation_smoothness,
-    weighted_avg_coords,
 )
-from .graph import (
-    NeighborhoodGraph,
-    build_knn_graph,
-    edge_list_text,
-    laplacian_apply,
-    transition_apply,
-)
+from .graph import NeighborhoodGraph, build_knn_graph
 from .io import (
     NUM_FEATURES,
     CoefficientSet,
@@ -68,7 +55,6 @@ __all__ = [
     "CoefficientSet",
     "FEATURE_NAMES",
     "FeatureMatrix",
-    "LpfConfig",
     "NUM_FEATURES",
     "NeighborhoodGraph",
     "PointCloud",
@@ -79,18 +65,13 @@ __all__ = [
     "average_coefficients",
     "ball_count",
     "build_knn_graph",
-    "centroid_distance",
     "drop_attack",
-    "edge_list_text",
     "extract_features",
     "features_to_csv",
     "fit_mlr",
     "fit_report",
     "get_preset",
-    "laplacian_apply",
     "load_coefficients",
-    "local_variation",
-    "lpf_distance_features",
     "lpf_solve",
     "normalize_cloud",
     "normalize_scores",
@@ -101,12 +82,8 @@ __all__ = [
     "preset_names",
     "random_drop",
     "rank_top_n",
-    "second_diff_coords",
     "select_top_targets",
     "synthetic_score_oracle",
-    "transition_apply",
-    "variation_smoothness",
-    "weighted_avg_coords",
     "write_coefficients",
     "write_scores",
     "write_xyz",

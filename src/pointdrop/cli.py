@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .attack import (
@@ -41,20 +40,6 @@ from .presets import get_preset, preset_names
 from .regression import fit_mlr, fit_report, select_top_targets
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved pipeline settings shared by the subcommands."""
-
-    k: int = 10
-    sigma: float | None = None  # None = auto (mean retained-edge length)
-    gamma: float = 0.5
-    ball_radius: float = 0.1
-    top_n: int = 100
-    alpha: float = 0.05
-    seed: int = 0
-    preset: str | None = None
-
-
 def _sigma_value(text: str):
     if text == "auto":
         return None
@@ -67,12 +52,9 @@ def _sigma_value(text: str):
     return value
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    fields = {}
-    for name in ("k", "sigma", "gamma", "ball_radius", "top_n", "alpha", "seed", "preset"):
-        if hasattr(args, name):
-            fields[name] = getattr(args, name)
-    return RunConfig(**fields)
+def _feature_options(args: argparse.Namespace) -> dict:
+    """The shared graph and feature flags, as keyword arguments of extract_features."""
+    return dict(k=args.k, sigma=args.sigma, gamma=args.gamma, ball_radius=args.ball_radius)
 
 
 def _read_cloud(path: str, normalize: bool):
@@ -113,11 +95,8 @@ def _resolve_coefficients(source: str | None) -> CoefficientSet:
 
 
 def _cmd_features(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
     cloud = _read_cloud(args.cloud, args.normalize)
-    feats = extract_features(
-        cloud, k=cfg.k, sigma=cfg.sigma, gamma=cfg.gamma, ball_radius=cfg.ball_radius
-    )
+    feats = extract_features(cloud, **_feature_options(args))
     _emit(features_to_csv(feats), args.output)
     return 0
 
@@ -135,21 +114,18 @@ def _pair_corpus(cloud_dir: str, scores_dir: str):
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
     pairs = _pair_corpus(args.cloud_dir, args.scores_dir)
     samples = []
     for stem, cloud_path, score_path in pairs:
         cloud = _read_cloud(str(cloud_path), args.normalize)
         raw = _read_scores(str(score_path), cloud.n)
         z = normalize_scores(raw)
-        feats = extract_features(
-            cloud, k=cfg.k, sigma=cfg.sigma, gamma=cfg.gamma, ball_radius=cfg.ball_radius
-        )
-        samples.extend(select_top_targets(z, feats, cfg.top_n))
-    fit = fit_mlr(samples, alpha=cfg.alpha)
+        feats = extract_features(cloud, **_feature_options(args))
+        samples.extend(select_top_targets(z, feats, args.top_n))
+    fit = fit_mlr(samples, alpha=args.alpha)
     provenance = (
         f"fitted: {len(pairs)} clouds, per-cloud min-max score normalization, "
-        f"top-{cfg.top_n} pooling, alpha={cfg.alpha:g}"
+        f"top-{args.top_n} pooling, alpha={args.alpha:g}"
     )
     sys.stdout.write(f"{provenance}\n{fit_report(fit)}")
     document = write_coefficients(fit.to_coefficient_set(provenance))
@@ -177,22 +153,13 @@ def _attack_report(result: AttackResult, provenance: str) -> str:
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
     cloud = _read_cloud(args.cloud, args.normalize)
     if args.random:
-        result = random_drop(cloud, cfg.top_n, cfg.seed)
-        provenance = f"none (random baseline, seed {cfg.seed})"
+        result = random_drop(cloud, args.top_n, args.seed)
+        provenance = f"none (random baseline, seed {args.seed})"
     else:
-        coeffs = _resolve_coefficients(cfg.preset)
-        result = drop_attack(
-            cloud,
-            coeffs,
-            cfg.top_n,
-            k=cfg.k,
-            sigma=cfg.sigma,
-            gamma=cfg.gamma,
-            ball_radius=cfg.ball_radius,
-        )
+        coeffs = _resolve_coefficients(args.preset)
+        result = drop_attack(cloud, coeffs, args.top_n, **_feature_options(args))
         provenance = coeffs.provenance
     report = _attack_report(result, provenance)
     cloud_text = write_xyz(result.retained_cloud)

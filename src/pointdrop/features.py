@@ -3,8 +3,8 @@
 Feature columns, in fixed order:
 
   f1       local variation v_i = ||p_i - pbar_i||
-  f2..f4   weighted neighborhood average coordinates pbar_i (x, y, z)
-  f5..f7   coordinate second differences ptilde_i = (L p)_i (x, y, z)
+  f2..f4   weighted neighborhood average coordinates pbar = A p (x, y, z)
+  f5..f7   coordinate second differences ptilde = L p (x, y, z)
   f8       smoothed variation vbar = A v
   f9       variation second difference vtilde = L v
   f10      Euclidean distance from p_i to the cloud centroid
@@ -12,6 +12,10 @@ Feature columns, in fixed order:
   f12      low-pass residual h_i = ||p_i - q*_i||
   f13      smoothed residual hbar = A h
   f14      residual second difference htilde = L h
+
+A and L are the graph's transition and Laplacian operators. They act on
+three signals, each once and as a whole block: the coordinates p (n x 3),
+then v and h stacked side by side (n x 2).
 
 q* is the low-pass-filtered cloud: each coordinate column solves the
 positive definite system (I + gamma L) q*_c = p_c, so large gamma pulls
@@ -32,7 +36,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 from scipy.spatial import cKDTree
 
-from .graph import NeighborhoodGraph, build_knn_graph, laplacian_apply, transition_apply
+from .graph import NeighborhoodGraph, build_knn_graph
 from .io import NUM_FEATURES, PointCloud, _readonly, format_number
 
 FEATURE_NAMES = tuple(f"f{j}" for j in range(1, NUM_FEATURES + 1))
@@ -47,17 +51,6 @@ _COUNT_COLUMN = 10  # f11
 # gamma * d_max = 45 at n = 1024 and above 200 at n = 10k); above it LU runs.
 _PCG_MAX_GAMMA_DEGREE = 32.0
 _PCG_RTOL = 1e-12  # per-column ||r|| / ||p|| at which CG stops
-
-
-@dataclass(frozen=True)
-class LpfConfig:
-    """Regularization weight of the low-pass coordinate solve."""
-
-    gamma: float = 0.5
-
-    def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -89,24 +82,9 @@ class FeatureMatrix:
         return self.values[:, FEATURE_NAMES.index(name)]
 
 
-def weighted_avg_coords(graph: NeighborhoodGraph, cloud: PointCloud) -> np.ndarray:
-    """Neighborhood-averaged coordinates pbar = A P, one row per point (f2..f4)."""
-    return np.column_stack([transition_apply(graph, cloud.points[:, c]) for c in range(3)])
-
-
-def second_diff_coords(graph: NeighborhoodGraph, cloud: PointCloud) -> np.ndarray:
-    """Coordinate second differences ptilde = L P (f5..f7)."""
-    return np.column_stack([laplacian_apply(graph, cloud.points[:, c]) for c in range(3)])
-
-
-def local_variation(graph: NeighborhoodGraph, cloud: PointCloud) -> np.ndarray:
-    """Distance from each point to its neighborhood average, v_i = ||p_i - pbar_i|| (f1)."""
-    return np.linalg.norm(cloud.points - weighted_avg_coords(graph, cloud), axis=1)
-
-
-def variation_smoothness(graph: NeighborhoodGraph, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smoothed variation vbar = A v and its second difference vtilde = L v (f8, f9)."""
-    return transition_apply(graph, v), laplacian_apply(graph, v)
+def _column_scale(x: np.ndarray) -> np.ndarray:
+    """Per column, the power of two just above its largest magnitude (1 for a zero column)."""
+    return np.ldexp(1.0, np.frexp(np.abs(x).max(axis=0))[1])
 
 
 def _block_pcg(system: sp.csr_matrix, rhs: np.ndarray, diag: np.ndarray, max_iter: int):
@@ -120,7 +98,7 @@ def _block_pcg(system: sp.csr_matrix, rhs: np.ndarray, diag: np.ndarray, max_ite
     # Power-of-two column scaling is exact and leaves every step unchanged,
     # but keeps the squared norms from underflowing (overflowing) when the
     # coordinates are below about 1e-154 (above 1e154) in magnitude.
-    scale = np.ldexp(1.0, np.frexp(np.abs(rhs).max(axis=0))[1])
+    scale = _column_scale(rhs)
     b = rhs / scale
     x = b.copy()
     r = b - system @ x
@@ -146,7 +124,7 @@ def _block_pcg(system: sp.csr_matrix, rhs: np.ndarray, diag: np.ndarray, max_ite
     return None if active.any() else x * scale
 
 
-def lpf_solve(graph: NeighborhoodGraph, cloud: PointCloud, config: LpfConfig) -> np.ndarray:
+def lpf_solve(graph: NeighborhoodGraph, cloud: PointCloud, gamma: float) -> np.ndarray:
     """Low-pass-filter the coordinates: solve (I + gamma L) q*_c = p_c per column.
 
     The system matrix is symmetric positive definite with spectrum in
@@ -155,9 +133,11 @@ def lpf_solve(graph: NeighborhoodGraph, cloud: PointCloud, config: LpfConfig) ->
     reaches the iteration cap the same bound implies, by sparse LU. Either
     way the residual is checked, which guards both solvers.
     """
+    if not gamma > 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
     points = cloud.points
-    system = sp.identity(graph.n, format="csr") + config.gamma * graph.laplacian
-    gamma_dmax = config.gamma * float(graph.degrees.max())
+    system = sp.identity(graph.n, format="csr") + gamma * graph.laplacian
+    gamma_dmax = gamma * float(graph.degrees.max())
     qstar = None
     if gamma_dmax <= _PCG_MAX_GAMMA_DEGREE:
         # CG reduces the residual by rtol within about (sqrt(kappa) / 2)
@@ -165,18 +145,21 @@ def lpf_solve(graph: NeighborhoodGraph, cloud: PointCloud, config: LpfConfig) ->
         # cap means rounding has stalled it.
         kappa = 1.0 + 2.0 * gamma_dmax
         max_iter = math.ceil(0.5 * math.sqrt(kappa) * math.log(2.0 * kappa / _PCG_RTOL))
-        qstar = _block_pcg(system, points, 1.0 + config.gamma * graph.degrees, max_iter)
+        qstar = _block_pcg(system, points, 1.0 + gamma * graph.degrees, max_iter)
     if qstar is None:
         qstar = splu(system.tocsc()).solve(np.array(points))
 
     # Relative residual bound, widened by the matvec rounding floor
     # eps*||M||*||q|| which dominates only for extreme gamma (~1e9); the
     # max absolute row sum ||M|| of I + gamma L is 1 + 2 gamma d_max.
-    residual = np.linalg.norm(system @ qstar - points, axis=0)
+    # The norms are taken in the CG's exact power-of-two column units, so
+    # they cannot underflow to a vacuous 0 <= 0 on tiny coordinates.
+    scale = _column_scale(points)
+    residual = np.linalg.norm((system @ qstar - points) / scale, axis=0)
     floor = 64.0 * np.finfo(np.float64).eps * (1.0 + 2.0 * gamma_dmax)
     allowed = np.maximum(
-        1e-8 * np.linalg.norm(points, axis=0),
-        floor * np.linalg.norm(qstar, axis=0),
+        1e-8 * np.linalg.norm(points / scale, axis=0),
+        floor * np.linalg.norm(qstar / scale, axis=0),
     )
     # Written so that a NaN residual or tolerance fails the check.
     if not np.all(residual <= allowed):
@@ -185,19 +168,6 @@ def lpf_solve(graph: NeighborhoodGraph, cloud: PointCloud, config: LpfConfig) ->
             f"exceed tolerances {allowed.tolist()}"
         )
     return qstar
-
-
-def lpf_distance_features(
-    graph: NeighborhoodGraph, cloud: PointCloud, qstar: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-point smoothing residual h = ||p - q*|| with A h and L h (f12, f13, f14)."""
-    h = np.linalg.norm(cloud.points - qstar, axis=1)
-    return h, transition_apply(graph, h), laplacian_apply(graph, h)
-
-
-def centroid_distance(cloud: PointCloud) -> np.ndarray:
-    """Distance from each point to the cloud centroid (f10)."""
-    return np.linalg.norm(cloud.points - cloud.points.mean(axis=0), axis=1)
 
 
 def ball_count(cloud: PointCloud, r: float) -> np.ndarray:
@@ -230,24 +200,27 @@ def extract_features(
         Radius of the closed counting ball.
     """
     graph = build_knn_graph(cloud, k=k, sigma=sigma)
-    pbar = weighted_avg_coords(graph, cloud)
-    ptilde = second_diff_coords(graph, cloud)
-    v = np.linalg.norm(cloud.points - pbar, axis=1)
-    vbar, vtilde = variation_smoothness(graph, v)
-    qstar = lpf_solve(graph, cloud, LpfConfig(gamma))
-    h, hbar, htilde = lpf_distance_features(graph, cloud, qstar)
+    points = cloud.points
+    transition, laplacian = graph.transition, graph.laplacian
+    pbar = transition @ points
+    ptilde = laplacian @ points
+    v = np.linalg.norm(points - pbar, axis=1)
+    h = np.linalg.norm(points - lpf_solve(graph, cloud, gamma), axis=1)
+    vh = np.column_stack([v, h])
+    vh_bar = transition @ vh
+    vh_tilde = laplacian @ vh
     columns = np.column_stack(
         [
             v,
             pbar,
             ptilde,
-            vbar,
-            vtilde,
-            centroid_distance(cloud),
+            vh_bar[:, 0],
+            vh_tilde[:, 0],
+            np.linalg.norm(points - points.mean(axis=0), axis=1),
             ball_count(cloud, ball_radius).astype(np.float64),
             h,
-            hbar,
-            htilde,
+            vh_bar[:, 1],
+            vh_tilde[:, 1],
         ]
     )
     return FeatureMatrix(columns)

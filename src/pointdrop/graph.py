@@ -1,19 +1,24 @@
-"""k-nearest-neighbor graphs over point clouds and their signal operators.
+"""k-nearest-neighbor graphs over point clouds and their two operators.
 
 Each point is connected to its k Euclidean nearest neighbors (ties broken by
 lower point index) and the edge set is symmetrized by union, so no node is
 isolated; only rows whose k-th-distance tie is not yet inside the query
-window widen it. Edge weights follow a Gaussian kernel
+window widen it. The points are first divided by the power of two just
+above their largest coordinate magnitude, which is exact, so no cloud scale
+underflows or overflows the squared distances. Edge weights follow a
+Gaussian kernel
 
     W[i, j] = exp(-||p_i - p_j||^2 / sigma^2)
 
-which keeps weights in (0, 1]. The graph exposes the degree vector D, the
-combinatorial Laplacian L = D - W (positive semi-definite), and the
-row-stochastic transition matrix A = D^-1 W.
+which keeps weights in (0, 1]. The graph exposes the degree vector D and,
+built on first use, the two operators the features apply to whole signal
+blocks: the combinatorial Laplacian L = D - W (positive semi-definite) and
+the row-stochastic transition matrix A = D^-1 W.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -21,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from .io import PointCloud, format_number
+from .io import PointCloud
 
 # exp(-x) underflows to exactly 0 near x = 745; clamp so stored weights stay
 # positive and every degree is nonzero even for extreme outlier edges.
@@ -72,8 +77,6 @@ def _knn_select(points: np.ndarray, k: int) -> np.ndarray:
     kq = min(n, k + 2)
     while rows.size:
         dist, nbr = tree.query(points[rows], k=kq)
-        if not np.all(np.isfinite(dist)):
-            raise ValueError("squared distances overflow: coordinates are too large in magnitude")
         # Reordering within ties leaves the ascending distances in place.
         nbr = np.take_along_axis(nbr, np.lexsort((nbr, dist)), axis=1)
         # Drop the self entry; under heavy duplication self may be absent
@@ -108,56 +111,38 @@ def build_knn_graph(cloud: PointCloud, k: int, sigma: float | None = None) -> Ne
     if sigma is not None and not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
 
-    points = cloud.points
+    # Dividing by the power of two just above the largest coordinate
+    # magnitude is exact and keeps squared distances from underflowing or
+    # overflowing; every length and width below is in these units.
+    exponent = int(np.frexp(np.abs(cloud.points).max())[1])
+    points = np.ldexp(cloud.points, -exponent)
 
-    # Union symmetrization on undirected index pairs.
+    # Union symmetrization: the strict upper triangle of K + K^T lists each
+    # undirected pair once as (lo, hi), sorted by lo, then hi.
     rows = np.repeat(np.arange(n), k)
     cols = _knn_select(points, k).ravel()
-    lo = np.minimum(rows, cols)
-    hi = np.maximum(rows, cols)
-    key = np.unique(lo.astype(np.int64) * n + hi.astype(np.int64))
-    lo, hi = key // n, key % n
+    knn = sp.coo_matrix((np.ones(n * k, dtype=bool), (rows, cols)), shape=(n, n)).tocsr()
+    pairs = sp.triu(knn + knn.T, 1, format="coo")
+    lo, hi = pairs.row, pairs.col
 
     lengths = np.linalg.norm(points[lo] - points[hi], axis=1)
     if sigma is None:
-        sigma = float(lengths.mean())
-        if sigma == 0.0:
+        mean_length = float(lengths.mean())
+        if mean_length == 0.0:
             # Every retained edge joins coincident points; any width gives
-            # weight exp(0) = 1, so pick a neutral one.
+            # weight exp(0) = 1, so report a neutral one.
             sigma = 1.0
+        elif math.frexp(mean_length)[1] + exponent > 1024:
+            raise ValueError("mean edge length overflows: coordinates are too large in magnitude")
+        else:
+            sigma = math.ldexp(mean_length, exponent)
+    # A width that underflows to 0 would turn coincident points' 0/0 into NaN.
+    width = max(math.ldexp(sigma, -exponent), math.ulp(0.0))
 
-    weights = np.exp(-np.minimum((lengths / sigma) ** 2, _MAX_KERNEL_EXPONENT))
+    weights = np.exp(-np.minimum((lengths / width) ** 2, _MAX_KERNEL_EXPONENT))
     adjacency = sp.csr_matrix(
         (np.concatenate([weights, weights]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
         shape=(n, n),
     )
     degrees = np.asarray(adjacency.sum(axis=1)).ravel()
     return NeighborhoodGraph(n=n, k=k, sigma=sigma, adjacency=adjacency, degrees=degrees)
-
-
-def _check_signal(graph: NeighborhoodGraph, signal) -> np.ndarray:
-    sig = np.asarray(signal, dtype=np.float64)
-    if sig.shape != (graph.n,):
-        raise ValueError(f"signal length {sig.shape} does not match node count {graph.n}")
-    return sig
-
-
-def transition_apply(graph: NeighborhoodGraph, signal) -> np.ndarray:
-    """Weighted neighborhood average of a graph signal, (A x)_i."""
-    return graph.transition @ _check_signal(graph, signal)
-
-
-def laplacian_apply(graph: NeighborhoodGraph, signal) -> np.ndarray:
-    """Second difference of a graph signal, (L x)_i."""
-    return graph.laplacian @ _check_signal(graph, signal)
-
-
-def edge_list_text(graph: NeighborhoodGraph) -> str:
-    """Debug dump: one ``i j w`` line per undirected edge, sorted by (i, j)."""
-    coo = sp.triu(graph.adjacency, k=1).tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    lines = [
-        f"{coo.row[t]} {coo.col[t]} {format_number(coo.data[t])}"
-        for t in order
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")

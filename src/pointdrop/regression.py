@@ -64,7 +64,6 @@ class RegressionFit:
     r_squared: float
     sample_count: int
     alpha: float
-    intercept: float | None = None
 
     def __post_init__(self):
         for field in ("coefficients", "std_errors", "t_stats", "p_values"):
@@ -83,12 +82,12 @@ class RegressionFit:
         return self.p_values < self.alpha
 
     def to_coefficient_set(self, provenance: str = "fitted") -> CoefficientSet:
-        """Keep significant coefficients, zero the rest (intercept dropped)."""
+        """Keep significant coefficients, zero the rest."""
         sig = self.significant
         return CoefficientSet(np.where(sig, self.coefficients, 0.0), sig, provenance)
 
 
-def fit_mlr(samples, alpha: float = 0.05, intercept: bool = False) -> RegressionFit:
+def fit_mlr(samples, alpha: float = 0.05) -> RegressionFit:
     """Least-squares fit of targets on the fourteen features.
 
     Parameters
@@ -97,33 +96,28 @@ def fit_mlr(samples, alpha: float = 0.05, intercept: bool = False) -> Regression
         Pooled rows; must number more than the coefficient count.
     alpha : float
         Two-sided significance level for the per-coefficient t-tests.
-    intercept : bool
-        Append a constant column (exploration aid; the score model itself
-        has no intercept and downstream prediction ignores it).
     """
     samples = list(samples)
     m = len(samples)
-    q = NUM_FEATURES + (1 if intercept else 0)
+    q = NUM_FEATURES
     if m <= q:
         raise ValueError(f"need more than {q} samples to fit, got {m}")
 
     x = np.array([s.features for s in samples])
     y = np.array([s.target for s in samples])
-    design = np.column_stack([x, np.ones(m)]) if intercept else x
-    names = FEATURE_NAMES + ("intercept",) if intercept else FEATURE_NAMES
 
     # Pivoted QR gives the fit, the rank check, and (X^T X)^-1 in one pass.
-    qmat, rmat, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
+    qmat, rmat, piv = scipy.linalg.qr(x, mode="economic", pivoting=True)
     rdiag = np.abs(np.diag(rmat))
     tol = rdiag[0] * max(m, q) * np.finfo(np.float64).eps if rdiag[0] > 0 else 0.0
     rank = int(np.sum(rdiag > tol))
     if rank < q:
-        dependent = ", ".join(names[j] for j in sorted(piv[rank:]))
+        dependent = ", ".join(FEATURE_NAMES[j] for j in sorted(piv[rank:]))
         raise ValueError(f"design matrix is rank-deficient; dependent columns: {dependent}")
 
     coef = np.empty(q)
     coef[piv] = scipy.linalg.solve_triangular(rmat, qmat.T @ y)
-    residual = y - design @ coef
+    residual = y - x @ coef
     rss = float(residual @ residual)
     df = m - q
 
@@ -155,14 +149,13 @@ def fit_mlr(samples, alpha: float = 0.05, intercept: bool = False) -> Regression
         r_squared = 1.0 if rss <= _ZERO_RESIDUAL_FRACTION * float(y @ y) else 0.0
 
     return RegressionFit(
-        coefficients=coef[:NUM_FEATURES],
-        std_errors=std_errors[:NUM_FEATURES],
-        t_stats=t_stats[:NUM_FEATURES],
-        p_values=p_values[:NUM_FEATURES],
+        coefficients=coef,
+        std_errors=std_errors,
+        t_stats=t_stats,
+        p_values=p_values,
         r_squared=r_squared,
         sample_count=m,
         alpha=alpha,
-        intercept=float(coef[-1]) if intercept else None,
     )
 
 
@@ -209,8 +202,6 @@ def fit_report(fit: RegressionFit) -> str:
             f"{FEATURE_NAMES[j]:>9} {fit.coefficients[j]:>16.9g} {fit.std_errors[j]:>16.9g} "
             f"{fit.t_stats[j]:>16.9g} {fit.p_values[j]:>12.4e} {'yes' if sig[j] else 'no':>5}"
         )
-    if fit.intercept is not None:
-        lines.append(f"{'intercept':>9} {fit.intercept:>16.9g}")
     lines.append(
         f"R^2 = {fit.r_squared:.6f}  samples = {fit.sample_count}  alpha = {fit.alpha:g}"
     )

@@ -13,7 +13,6 @@ from scipy.sparse.csgraph import connected_components
 import oracles
 from pointdrop import (
     CoefficientSet,
-    LpfConfig,
     PointCloud,
     TrainingSample,
     build_knn_graph,
@@ -123,10 +122,10 @@ def test_03_lpf_limits():
     g = build_knn_graph(cloud, k=3)
     connected = connected_components(g.adjacency, directed=False)[0] == 1
 
-    identity_err = float(np.abs(lpf_solve(g, cloud, LpfConfig(1e-15)) - pts).max())
-    huge = lpf_solve(g, cloud, LpfConfig(1e9))
+    identity_err = float(np.abs(lpf_solve(g, cloud, 1e-15) - pts).max())
+    huge = lpf_solve(g, cloud, 1e9)
     spread = float((huge.max(axis=0) - huge.min(axis=0)).max())
-    mid = lpf_solve(g, cloud, LpfConfig(0.5))
+    mid = lpf_solve(g, cloud, 0.5)
     residual = mid + 0.5 * (g.laplacian @ mid) - pts
     rel = float(
         (np.linalg.norm(residual, axis=0) / np.linalg.norm(pts, axis=0)).max()

@@ -13,19 +13,12 @@ from pointdrop import features
 from pointdrop import (
     FEATURE_NAMES,
     FeatureMatrix,
-    LpfConfig,
     PointCloud,
     ball_count,
     build_knn_graph,
-    centroid_distance,
     extract_features,
     features_to_csv,
-    local_variation,
-    lpf_distance_features,
     lpf_solve,
-    second_diff_coords,
-    variation_smoothness,
-    weighted_avg_coords,
 )
 from test_acceptance import box_cloud
 
@@ -36,34 +29,39 @@ def random_cloud(seed, n=12):
     return PointCloud(np.random.default_rng(seed).normal(size=(n, 3)))
 
 
+def columns(cloud, names, **kwargs):
+    """The named feature columns of ``extract_features(cloud, **kwargs)``, side by side."""
+    fm = extract_features(cloud, **kwargs)
+    return np.column_stack([fm.column(name) for name in names])
+
+
+PBAR = ("f2", "f3", "f4")
+PTILDE = ("f5", "f6", "f7")
+
+
 class TestCoordinateFeatures:
     def test_path_weighted_average(self):
-        g = build_knn_graph(PATH3, k=1, sigma=1.0)
-        pbar = weighted_avg_coords(g, PATH3)
+        pbar = columns(PATH3, PBAR, k=1, sigma=1.0)
         np.testing.assert_allclose(pbar[1], [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_single_neighbor_copies_position(self):
         cloud = PointCloud([[0, 0, 0], [1, 1, 1], [10, 10, 10], [11, 11, 11]])
-        g = build_knn_graph(cloud, k=1, sigma=1.0)
-        pbar = weighted_avg_coords(g, cloud)
+        pbar = columns(cloud, PBAR, k=1, sigma=1.0)
         np.testing.assert_allclose(pbar[0], [1, 1, 1], atol=1e-12)
 
     def test_average_translates_with_cloud(self):
         cloud = random_cloud(0)
         shifted = PointCloud(cloud.points + [5.0, -2.0, 1.0])
-        ga = build_knn_graph(cloud, k=4, sigma=1.3)
-        gb = build_knn_graph(shifted, k=4, sigma=1.3)
         np.testing.assert_allclose(
-            weighted_avg_coords(gb, shifted),
-            weighted_avg_coords(ga, cloud) + [5.0, -2.0, 1.0],
+            columns(shifted, PBAR, k=4, sigma=1.3),
+            columns(cloud, PBAR, k=4, sigma=1.3) + [5.0, -2.0, 1.0],
             atol=1e-10,
         )
 
     def test_average_inside_neighbor_bounding_box(self):
         cloud = random_cloud(1, n=30)
-        g = build_knn_graph(cloud, k=5)
-        pbar = weighted_avg_coords(g, cloud)
-        w = g.adjacency.tocsr()
+        w = build_knn_graph(cloud, k=5).adjacency
+        pbar = columns(cloud, PBAR, k=5)
         for i in range(cloud.n):
             nbrs = w.indices[w.indptr[i]:w.indptr[i + 1]]
             lo = cloud.points[nbrs].min(axis=0) - 1e-12
@@ -71,75 +69,69 @@ class TestCoordinateFeatures:
             assert np.all(pbar[i] >= lo) and np.all(pbar[i] <= hi)
 
     def test_path_second_difference(self):
-        g = build_knn_graph(PATH3, k=1, sigma=1.0)
-        ptilde = second_diff_coords(g, PATH3)
+        ptilde = columns(PATH3, PTILDE, k=1, sigma=1.0)
         np.testing.assert_allclose(ptilde[0], [-math.exp(-1), 0.0, 0.0], atol=1e-12)
 
     def test_second_difference_translation_invariant(self):
         cloud = random_cloud(2)
         shifted = PointCloud(cloud.points + [3.0, 3.0, -4.0])
-        ga = build_knn_graph(cloud, k=4, sigma=0.9)
-        gb = build_knn_graph(shifted, k=4, sigma=0.9)
         np.testing.assert_allclose(
-            second_diff_coords(gb, shifted), second_diff_coords(ga, cloud), atol=1e-10
+            columns(shifted, PTILDE, k=4, sigma=0.9),
+            columns(cloud, PTILDE, k=4, sigma=0.9),
+            atol=1e-10,
         )
 
     def test_constant_coordinate_column_zeroed(self):
         pts = np.random.default_rng(3).normal(size=(10, 3))
         pts[:, 2] = 4.0
-        cloud = PointCloud(pts)
-        g = build_knn_graph(cloud, k=3)
-        assert np.abs(second_diff_coords(g, cloud)[:, 2]).max() < 1e-12
+        f7 = extract_features(PointCloud(pts), k=3).column("f7")
+        assert np.abs(f7).max() < 1e-12
 
 
 class TestVariation:
     def test_zero_at_weighted_average(self):
         cloud = PointCloud([[0, 0, 0], [1, 0, 0], [-1, 0, 0]])
-        g = build_knn_graph(cloud, k=2, sigma=1.0)
-        v = local_variation(g, cloud)
+        v = extract_features(cloud, k=2, sigma=1.0).column("f1")
         # Point 0 has symmetric equal-weight neighbors, so pbar_0 = p_0.
         assert v[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_single_neighbor_distance(self):
         cloud = PointCloud([[0, 0, 0], [0, 0, 2.5], [40, 0, 0], [40, 0, 2.5]])
-        g = build_knn_graph(cloud, k=1, sigma=1.0)
-        v = local_variation(g, cloud)
+        v = extract_features(cloud, k=1, sigma=1.0).column("f1")
         assert v[0] == pytest.approx(2.5, rel=1e-12)
 
     def test_matches_oracle(self):
         pts = np.random.default_rng(4).normal(size=(8, 3))
-        cloud = PointCloud(pts)
-        g = build_knn_graph(cloud, k=3)
         ref = oracles.naive_features(pts, k=3)
-        np.testing.assert_allclose(local_variation(g, cloud), ref[:, 0], atol=1e-10)
+        v = extract_features(PointCloud(pts), k=3).column("f1")
+        np.testing.assert_allclose(v, ref[:, 0], atol=1e-10)
 
     def test_smoothness_constant_signal(self):
+        # f8, f9 (and f13, f14) apply A and L to the stacked (v, h) block.
         g = build_knn_graph(random_cloud(5), k=4)
-        vbar, vtilde = variation_smoothness(g, np.full(g.n, 2.0))
-        np.testing.assert_allclose(vbar, 2.0, atol=1e-12)
-        np.testing.assert_allclose(vtilde, 0.0, atol=1e-12)
+        block = np.full((g.n, 2), 2.0)
+        np.testing.assert_allclose(g.transition @ block, 2.0, atol=1e-12)
+        np.testing.assert_allclose(g.laplacian @ block, 0.0, atol=1e-12)
 
     def test_smoothness_matches_oracle(self):
         pts = np.random.default_rng(6).normal(size=(8, 3))
-        cloud = PointCloud(pts)
-        g = build_knn_graph(cloud, k=3)
         ref = oracles.naive_features(pts, k=3)
-        vbar, vtilde = variation_smoothness(g, local_variation(g, cloud))
-        np.testing.assert_allclose(vbar, ref[:, 7], atol=1e-10)
-        np.testing.assert_allclose(vtilde, ref[:, 8], atol=1e-10)
+        fm = extract_features(PointCloud(pts), k=3)
+        np.testing.assert_allclose(fm.column("f8"), ref[:, 7], atol=1e-10)
+        np.testing.assert_allclose(fm.column("f9"), ref[:, 8], atol=1e-10)
 
 
 class TestLpf:
     def test_tiny_gamma_identity(self):
         cloud = random_cloud(7)
         g = build_knn_graph(cloud, k=4)
-        q = lpf_solve(g, cloud, LpfConfig(1e-15))
+        q = lpf_solve(g, cloud, 1e-15)
         assert np.abs(q - cloud.points).max() < 1e-10
 
     def test_huge_gamma_consensus(self):
         cloud = random_cloud(8, n=10)
         g = build_knn_graph(cloud, k=3)
-        q = lpf_solve(g, cloud, LpfConfig(1e9))
+        q = lpf_solve(g, cloud, 1e9)
         spread = q.max(axis=0) - q.min(axis=0)
         assert spread.max() <= 1e-3
         # 1^T L = 0 for the symmetric Laplacian, so 1^T (I + gamma L) q = 1^T p
@@ -150,49 +142,46 @@ class TestLpf:
         pts = np.random.default_rng(9).normal(size=(8, 3))
         cloud = PointCloud(pts)
         g = build_knn_graph(cloud, k=3)
-        q = lpf_solve(g, cloud, LpfConfig(0.5))
+        q = lpf_solve(g, cloud, 0.5)
         dense = np.linalg.solve(np.eye(8) + 0.5 * g.laplacian.toarray(), pts)
         np.testing.assert_allclose(q, dense, atol=1e-9)
 
     def test_residual_contract_at_default_gamma(self):
         cloud = random_cloud(10, n=50)
         g = build_knn_graph(cloud, k=6)
-        q = lpf_solve(g, cloud, LpfConfig(0.5))
+        q = lpf_solve(g, cloud, 0.5)
         system = np.eye(50) + 0.5 * g.laplacian.toarray()
         for c in range(3):
             resid = np.linalg.norm(system @ q[:, c] - cloud.points[:, c])
             assert resid <= 1e-8 * np.linalg.norm(cloud.points[:, c])
 
     def test_gamma_validation(self):
-        with pytest.raises(ValueError, match="gamma"):
-            LpfConfig(0.0)
+        cloud = random_cloud(7)
+        g = build_knn_graph(cloud, k=4)
+        for gamma in (0.0, -0.5, float("nan")):
+            with pytest.raises(ValueError, match="gamma must be positive"):
+                lpf_solve(g, cloud, gamma)
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            extract_features(cloud, k=4, gamma=0.0)
 
     def test_distance_features_tiny_gamma(self):
-        cloud = random_cloud(11)
-        g = build_knn_graph(cloud, k=4)
-        q = lpf_solve(g, cloud, LpfConfig(1e-15))
-        h, hbar, htilde = lpf_distance_features(g, cloud, q)
-        assert h.max() <= 1e-8
-        assert np.abs(hbar).max() <= 1e-8
-        assert np.abs(htilde).max() <= 1e-8
+        fm = extract_features(random_cloud(11), k=4, gamma=1e-15)
+        assert fm.column("f12").max() <= 1e-8
+        assert np.abs(fm.column("f13")).max() <= 1e-8
+        assert np.abs(fm.column("f14")).max() <= 1e-8
 
     def test_distance_features_nonnegative(self):
         cloud = random_cloud(12)
-        g = build_knn_graph(cloud, k=4)
         for gamma in (0.1, 0.5, 2.0, 100.0):
-            h, hbar, _ = lpf_distance_features(g, cloud, lpf_solve(g, cloud, LpfConfig(gamma)))
-            assert h.min() >= 0.0
-            assert hbar.min() >= 0.0
+            fm = extract_features(cloud, k=4, gamma=gamma)
+            assert fm.column("f12").min() >= 0.0
+            assert fm.column("f13").min() >= 0.0
 
     def test_distance_features_match_oracle(self):
         pts = np.random.default_rng(13).normal(size=(8, 3))
-        cloud = PointCloud(pts)
-        g = build_knn_graph(cloud, k=3)
         ref = oracles.naive_features(pts, k=3, gamma=0.5)
-        h, hbar, htilde = lpf_distance_features(g, cloud, lpf_solve(g, cloud, LpfConfig(0.5)))
-        np.testing.assert_allclose(h, ref[:, 11], atol=1e-9)
-        np.testing.assert_allclose(hbar, ref[:, 12], atol=1e-9)
-        np.testing.assert_allclose(htilde, ref[:, 13], atol=1e-9)
+        got = columns(PointCloud(pts), ("f12", "f13", "f14"), k=3, gamma=0.5)
+        np.testing.assert_allclose(got, ref[:, 11:14], atol=1e-9)
 
 
 @pytest.fixture
@@ -219,14 +208,14 @@ class TestLpfSolvers:
     def test_cg_matches_lu(self, lu_calls, n, gamma):
         cloud = box_cloud(np.random.default_rng(n), n=n)
         g = build_knn_graph(cloud, k=10)
-        q = lpf_solve(g, cloud, LpfConfig(gamma))
+        q = lpf_solve(g, cloud, gamma)
         assert lu_calls == []
         assert np.abs(q - _lu_reference(g, cloud, gamma)).max() <= 1e-10
 
     def test_huge_gamma_takes_lu(self, lu_calls):
         cloud = box_cloud(np.random.default_rng(30), n=64)
         g = build_knn_graph(cloud, k=10)
-        q = lpf_solve(g, cloud, LpfConfig(1e9))
+        q = lpf_solve(g, cloud, 1e9)
         assert lu_calls == [(64, 64)]
         np.testing.assert_array_equal(q, _lu_reference(g, cloud, 1e9))
 
@@ -237,7 +226,7 @@ class TestLpfSolvers:
         cloud = box_cloud(np.random.default_rng(31), n=64)
         g = build_knn_graph(cloud, k=10)
         with np.errstate(invalid="ignore"):
-            q = lpf_solve(g, cloud, LpfConfig(0.5))
+            q = lpf_solve(g, cloud, 0.5)
         assert lu_calls == [(64, 64)]
         np.testing.assert_array_equal(q, _lu_reference(g, cloud, 0.5))
 
@@ -246,7 +235,7 @@ class TestLpfSolvers:
         pts[:, 2] = 0.0
         cloud = PointCloud(pts)
         g = build_knn_graph(cloud, k=8)
-        q = lpf_solve(g, cloud, LpfConfig(0.5))
+        q = lpf_solve(g, cloud, 0.5)
         assert lu_calls == []
         assert np.all(q[:, 2] == 0.0)
         assert np.abs(q - _lu_reference(g, cloud, 0.5)).max() <= 1e-10
@@ -258,7 +247,7 @@ class TestLpfSolvers:
         cloud = PointCloud(pts)
         g = build_knn_graph(cloud, k=3)
         assert connected_components(g.adjacency, directed=False)[0] == 2
-        q = lpf_solve(g, cloud, LpfConfig(0.5))
+        q = lpf_solve(g, cloud, 0.5)
         assert lu_calls == []
         dense = np.linalg.solve(np.eye(24) + 0.5 * g.laplacian.toarray(), pts)
         np.testing.assert_allclose(q, dense, atol=1e-10)
@@ -268,7 +257,7 @@ class TestLpfSolvers:
     def test_two_points(self, lu_calls):
         cloud = PointCloud([[0.0, 0.0, 0.0], [1.0, 2.0, 0.0]])
         g = build_knn_graph(cloud, k=1, sigma=1.0)
-        q = lpf_solve(g, cloud, LpfConfig(0.5))
+        q = lpf_solve(g, cloud, 0.5)
         assert lu_calls == []
         dense = np.linalg.solve(np.eye(2) + 0.5 * g.laplacian.toarray(), cloud.points)
         np.testing.assert_allclose(q, dense, atol=1e-12)
@@ -281,21 +270,30 @@ class TestLpfSolvers:
         cloud = box_cloud(np.random.default_rng(35), n=64)
         g = build_knn_graph(cloud, k=10)
         with pytest.raises(ValueError, match="low-pass solve failed"):
-            lpf_solve(g, cloud, LpfConfig(0.5))
+            lpf_solve(g, cloud, 0.5)
 
     def test_extreme_coordinate_scales(self, lu_calls):
         base = np.random.default_rng(34).normal(size=(64, 3))
-        for scale in (1e-160, 1e150):
+        for scale in (1e-300, 1e-160, 1e150):
             cloud = PointCloud(base * scale)
             g = build_knn_graph(cloud, k=6)
-            q = lpf_solve(g, cloud, LpfConfig(0.5))
+            q = lpf_solve(g, cloud, 0.5)
             assert np.abs(q - _lu_reference(g, cloud, 0.5)).max() <= 1e-10 * scale
         assert lu_calls == []
+
+    def test_wrong_solution_fails_residual_check_at_tiny_scale(self, monkeypatch):
+        # At 1e-165 every squared residual entry underflows to 0; the check
+        # must still see that q = 2p does not solve the system.
+        monkeypatch.setattr(features, "_block_pcg", lambda system, rhs, diag, max_iter: 2 * rhs)
+        cloud = PointCloud(np.random.default_rng(34).normal(size=(64, 3)) * 1e-165)
+        g = build_knn_graph(cloud, k=6)
+        with pytest.raises(ValueError, match="low-pass solve failed"):
+            lpf_solve(g, cloud, 0.5)
 
 class TestScalarFeatures:
     def test_centroid_point_zero(self):
         cloud = PointCloud([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 0]])
-        d = centroid_distance(cloud)
+        d = extract_features(cloud, k=2).column("f10")
         assert d[4] == pytest.approx(0.0, abs=1e-15)
         np.testing.assert_allclose(d[:4], 1.0, atol=1e-15)
 
@@ -303,7 +301,9 @@ class TestScalarFeatures:
         cloud = random_cloud(14)
         shifted = PointCloud(cloud.points + [7.0, 8.0, 9.0])
         np.testing.assert_allclose(
-            centroid_distance(shifted), centroid_distance(cloud), atol=1e-10
+            extract_features(shifted, k=4).column("f10"),
+            extract_features(cloud, k=4).column("f10"),
+            atol=1e-10,
         )
 
     def test_ball_all_within(self):
@@ -360,6 +360,27 @@ class TestExtract:
         np.testing.assert_allclose(
             fb.values[:, 1:4], fa.values[:, 1:4] + [4.0, -6.0, 0.5], atol=1e-10
         )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_permutation_and_rigid_motion(self, seed):
+        # Relabelling the points permutes the rows. Under a rotation R and a
+        # shift t, f2..f4 move as points (R p + t), f5..f7 as vectors (R x),
+        # and f1, f8..f14 stay put. Float clouds keep every kNN and ball
+        # membership clear of ties, so only rounding differs.
+        rng = np.random.default_rng(300 + seed)
+        cloud = box_cloud(rng, n=300)
+        base = extract_features(cloud, k=8).values
+        perm = rng.permutation(cloud.n)
+        permuted = extract_features(PointCloud(cloud.points[perm]), k=8).values
+        np.testing.assert_allclose(permuted, base[perm], rtol=0, atol=1e-9)
+        rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        shift = rng.normal(size=3)
+        moved = extract_features(PointCloud(cloud.points @ rot.T + shift), k=8).values
+        scalar = [0, *range(7, 14)]
+        np.testing.assert_allclose(moved[:, scalar], base[:, scalar], rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(moved[:, 10], base[:, 10])
+        np.testing.assert_allclose(moved[:, 1:4], base[:, 1:4] @ rot.T + shift, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(moved[:, 4:7], base[:, 4:7] @ rot.T, rtol=0, atol=1e-9)
 
     def test_laplacian_columns_sum_to_zero(self):
         fm = extract_features(random_cloud(20, n=40), k=6)

@@ -1,4 +1,4 @@
-"""Neighborhood graph construction and the two signal filters."""
+"""Neighborhood graph construction and its two operators, A and L."""
 
 import math
 
@@ -7,13 +7,7 @@ import pytest
 
 import oracles
 from pointdrop import graph as graph_module
-from pointdrop import (
-    PointCloud,
-    build_knn_graph,
-    edge_list_text,
-    laplacian_apply,
-    transition_apply,
-)
+from pointdrop import PointCloud, build_knn_graph
 from test_acceptance import box_cloud
 
 PATH3 = PointCloud([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
@@ -95,8 +89,9 @@ class TestConstruction:
 
     def test_duplicate_points_weight_one(self):
         cloud = PointCloud([[1, 2, 3], [1, 2, 3], [9, 9, 9]])
-        g = build_knn_graph(cloud, k=1, sigma=2.0)
-        assert g.adjacency.toarray()[0, 1] == 1.0
+        for sigma in (2.0, 5e-324):
+            g = build_knn_graph(cloud, k=1, sigma=sigma)
+            assert g.adjacency.toarray()[0, 1] == 1.0
 
     def test_all_points_coincide(self):
         cloud = PointCloud(np.ones((5, 3)))
@@ -192,16 +187,37 @@ class TestKnnSelection:
         assert all(rows < n for rows, _ in calls[1:])
         assert all(k < n for _, k in calls)
 
-    def test_overflowing_distances_named(self):
-        cloud = PointCloud(np.random.default_rng(0).normal(size=(200, 3)) * 1e200)
+    @pytest.mark.parametrize(
+        "scale", [2.0**-1000, 2.0**700, 1e200, 1e-300], ids=["2^-1000", "2^700", "1e200", "1e-300"]
+    )
+    def test_extreme_scales_match_unit_cloud(self, scale):
+        # Squared distances would underflow (overflow) at these scales; the
+        # graph works in power-of-two units, so only sigma carries the scale.
+        pts = np.random.default_rng(0).normal(size=(200, 3))
+        unit = build_knn_graph(PointCloud(pts), k=6)
+        g = build_knn_graph(PointCloud(pts * scale), k=6)
+        np.testing.assert_array_equal(g.adjacency.indptr, unit.adjacency.indptr)
+        np.testing.assert_array_equal(g.adjacency.indices, unit.adjacency.indices)
+        if math.frexp(scale)[0] == 0.5:  # a power of two scales exactly
+            np.testing.assert_array_equal(g.adjacency.data, unit.adjacency.data)
+            assert g.sigma == unit.sigma * scale
+        else:
+            np.testing.assert_allclose(g.adjacency.data, unit.adjacency.data, rtol=1e-12)
+            assert g.sigma == pytest.approx(unit.sigma * scale, rel=1e-12)
+        assert g.sigma != 1.0
+        given = build_knn_graph(PointCloud(pts * scale), k=6, sigma=unit.sigma * scale)
+        np.testing.assert_allclose(given.adjacency.data, g.adjacency.data, rtol=1e-12)
+
+    def test_overflowing_mean_edge_named(self):
+        cloud = PointCloud([[1.5e308, 0.0, 0.0], [-1.5e308, 0.0, 0.0]])
         with pytest.raises(ValueError, match="overflow"):
-            build_knn_graph(cloud, k=6)
+            build_knn_graph(cloud, k=1)
 
 
 class TestSignalOps:
     def test_transition_preserves_constant(self):
         g = build_knn_graph(random_cloud(10), k=10)
-        out = transition_apply(g, np.ones(g.n))
+        out = g.transition @ np.ones(g.n)
         assert np.abs(out - 1.0).max() < 1e-12
 
     def test_transition_rows_sum_to_one(self):
@@ -212,56 +228,41 @@ class TestSignalOps:
 
     def test_path_hand_value(self):
         g = build_knn_graph(PATH3, k=1, sigma=1.0)
-        out = transition_apply(g, [0.0, 1.0, 2.0])
+        out = g.transition @ np.array([0.0, 1.0, 2.0])
         assert out[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_transition_linearity(self):
         g = build_knn_graph(random_cloud(11), k=5)
         x = np.random.default_rng(0).normal(size=g.n)
         np.testing.assert_allclose(
-            transition_apply(g, 3.0 * x), 3.0 * transition_apply(g, x), atol=1e-12
+            g.transition @ (3.0 * x), 3.0 * (g.transition @ x), atol=1e-12
         )
 
     def test_laplacian_kills_constants(self):
         g = build_knn_graph(random_cloud(12), k=5)
-        out = laplacian_apply(g, np.full(g.n, 7.0))
+        out = g.laplacian @ np.full(g.n, 7.0)
         assert np.abs(out).max() < 1e-12
 
     def test_laplacian_path_hand_value(self):
         g = build_knn_graph(PATH3, k=1, sigma=1.0)
-        out = laplacian_apply(g, [0.0, 1.0, 0.0])
+        out = g.laplacian @ np.array([0.0, 1.0, 0.0])
         assert out[1] == pytest.approx(2.0 * math.exp(-1), abs=1e-12)
 
     def test_quadratic_form_nonnegative(self):
         g = build_knn_graph(random_cloud(13), k=10)
-        rng = np.random.default_rng(99)
-        for _ in range(100):
-            x = rng.normal(size=g.n)
-            assert x @ laplacian_apply(g, x) >= -1e-10
+        x = np.random.default_rng(99).normal(size=(g.n, 100))
+        assert np.einsum("ij,ij->j", x, g.laplacian @ x).min() >= -1e-10
 
     def test_laplacian_output_sums_to_zero(self):
         g = build_knn_graph(random_cloud(14), k=7)
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            x = rng.normal(size=g.n)
-            assert abs(laplacian_apply(g, x).sum()) <= 1e-9 * np.linalg.norm(x)
+        x = np.random.default_rng(1).normal(size=(g.n, 10))
+        assert np.all(np.abs((g.laplacian @ x).sum(axis=0)) <= 1e-9 * np.linalg.norm(x, axis=0))
 
-    def test_length_mismatch(self):
-        g = build_knn_graph(random_cloud(15), k=3)
-        with pytest.raises(ValueError, match="length"):
-            transition_apply(g, np.ones(g.n + 1))
-        with pytest.raises(ValueError, match="length"):
-            laplacian_apply(g, np.ones(g.n - 1))
-
-
-class TestEdgeListText:
-    def test_format_and_order(self):
-        g = build_knn_graph(PATH3, k=1, sigma=1.0)
-        lines = edge_list_text(g).splitlines()
-        assert len(lines) == 2
-        i, j, w = lines[0].split()
-        assert (int(i), int(j)) == (0, 1)
-        assert float(w) == pytest.approx(math.exp(-1), abs=1e-15)
-        pairs = [tuple(map(int, line.split()[:2])) for line in lines]
-        assert pairs == sorted(pairs)
-        assert all(a < b for a, b in pairs)
+    def test_block_matches_columns(self):
+        # A whole (n, c) block gives each column bit for bit as applied alone.
+        g = build_knn_graph(random_cloud(15), k=6)
+        x = np.random.default_rng(2).normal(size=(g.n, 3))
+        for op in (g.transition, g.laplacian):
+            block = op @ x
+            for c in range(3):
+                np.testing.assert_array_equal(block[:, c], op @ x[:, c])

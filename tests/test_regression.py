@@ -115,15 +115,6 @@ class TestFitMlr:
         with pytest.raises(ValueError, match="more than 14"):
             fit_mlr(make_samples(x, np.zeros(14)))
 
-    def test_intercept_flag(self):
-        rng = np.random.default_rng(13)
-        x = rng.normal(size=(200, 14))
-        y = x @ rng.normal(size=14) + 4.0 + rng.normal(0.0, 0.01, 200)
-        fit = fit_mlr(make_samples(x, y), intercept=True)
-        assert fit.intercept == pytest.approx(4.0, abs=0.01)
-        plain = fit_mlr(make_samples(x, y))
-        assert plain.intercept is None
-
     def test_report_contents(self):
         rng = np.random.default_rng(14)
         x = rng.normal(size=(40, 14))
