@@ -62,17 +62,6 @@ def _read_cloud(path: str, normalize: bool):
     return normalize_cloud(cloud) if normalize else cloud
 
 
-def _read_scores(path: str, n: int | None = None):
-    text = Path(path).read_text()
-    if n is None:
-        n = sum(
-            1
-            for line in text.splitlines()
-            if line.strip() and not line.strip().startswith("#")
-        )
-    return parse_scores(text, n)
-
-
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
@@ -118,7 +107,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     samples = []
     for stem, cloud_path, score_path in pairs:
         cloud = _read_cloud(str(cloud_path), args.normalize)
-        raw = _read_scores(str(score_path), cloud.n)
+        raw = parse_scores(score_path.read_text(), cloud.n)
         z = normalize_scores(raw)
         feats = extract_features(cloud, **_feature_options(args))
         samples.extend(select_top_targets(z, feats, args.top_n))
@@ -174,8 +163,8 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _cmd_overlap(args: argparse.Namespace) -> int:
-    scores_a = _read_scores(args.scores_a)
-    scores_b = _read_scores(args.scores_b)
+    scores_a = parse_scores(Path(args.scores_a).read_text())
+    scores_b = parse_scores(Path(args.scores_b).read_text())
     if scores_a.n != scores_b.n:
         raise ValueError(
             f"score files differ in length: {scores_a.n} vs {scores_b.n}"

@@ -3,10 +3,12 @@
 Each point is connected to its k Euclidean nearest neighbors (ties broken by
 lower point index) and the edge set is symmetrized by union, so no node is
 isolated; only rows whose k-th-distance tie is not yet inside the query
-window widen it. The points are first divided by the power of two just
-above their largest coordinate magnitude, which is exact, so no cloud scale
-underflows or overflows the squared distances. Edge weights follow a
-Gaussian kernel
+window widen it. On clouds of 8192 points or more the k-d tree queries run
+on every CPU scipy sees; each row's answer is computed whole by one thread,
+so the graph does not depend on the thread count. The points are first
+divided by the power of two just above their largest coordinate magnitude,
+which is exact, so no cloud scale underflows or overflows the squared
+distances. Edge weights follow a Gaussian kernel
 
     W[i, j] = exp(-||p_i - p_j||^2 / sigma^2)
 
@@ -31,6 +33,17 @@ from .io import PointCloud
 # exp(-x) underflows to exactly 0 near x = 745; clamp so stored weights stay
 # positive and every degree is nonzero even for extreme outlier edges.
 _MAX_KERNEL_EXPONENT = 700.0
+
+# Cloud size from which k-d tree queries run on every CPU. On a 2-vCPU x86
+# host threads first paid off at 4-8k points (8k: kNN 31 -> 18 ms, balls
+# 23 -> 14 ms); at 1024 they cost ~0.4 ms a query and widened the latency
+# tail of whole 1024-point attacks by tens of percent.
+_THREADED_QUERY_MIN_POINTS = 8192
+
+
+def _tree_workers(n: int) -> int:
+    """The ``workers`` argument for cKDTree queries over an n-point cloud."""
+    return -1 if n >= _THREADED_QUERY_MIN_POINTS else 1
 
 
 @dataclass(eq=False)
@@ -75,8 +88,9 @@ def _knn_select(points: np.ndarray, k: int) -> np.ndarray:
     selected = np.empty((n, k), dtype=np.intp)
     rows = np.arange(n)
     kq = min(n, k + 2)
+    workers = _tree_workers(n)
     while rows.size:
-        dist, nbr = tree.query(points[rows], k=kq)
+        dist, nbr = tree.query(points[rows], k=kq, workers=workers)
         # Reordering within ties leaves the ascending distances in place.
         nbr = np.take_along_axis(nbr, np.lexsort((nbr, dist)), axis=1)
         # Drop the self entry; under heavy duplication self may be absent

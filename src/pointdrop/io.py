@@ -8,12 +8,23 @@ Text formats:
     list of ``{"index", "value", "significant"}`` records covering 1..14.
 
 All serialized numbers carry 17 significant digits, so a write/parse cycle
-is bit-exact for float64.
+is bit-exact for float64. The writers format blocks of rows with one ``%``
+operation each, byte for byte what ``format_number`` gives.
+
+The readers share one blank/comment rule (``_data_lines``). Each first tries
+a fast path: split every data line and convert all tokens in one numpy call,
+which parses each token as Python's ``float`` does. The fast path returns
+only a complete table of the right width with finite values; on anything
+else (a ragged row, a bad token, a non-finite value, the wrong column count)
+it gives up and the per-line loop runs instead. That loop is the only source
+of the numbered error messages, so both paths accept the same texts and
+return the same bits.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +128,25 @@ def _as_text(source) -> str:
     return source
 
 
+def _data_lines(text: str):
+    """(1-based line number, stripped line) for every line that is not blank or a ``#`` comment."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, stripped
+
+
+def _fast_table(text: str, width: int) -> np.ndarray | None:
+    """All data lines as an (m, width) array of finite floats, or None on any doubt."""
+    try:
+        table = np.array([stripped.split() for _, stripped in _data_lines(text)], dtype=np.float64)
+    except ValueError:  # a ragged row or a token float() rejects
+        return None
+    if table.ndim != 2 or table.shape[1] != width or not np.isfinite(table).all():
+        return None
+    return table
+
+
 def parse_xyz(source) -> PointCloud:
     """Parse whitespace-separated xyz text into a cloud of at least two points.
 
@@ -124,24 +154,26 @@ def parse_xyz(source) -> PointCloud:
     reported with their 1-based line number.
     """
     text = _as_text(source)
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = stripped.split()
-        if len(tokens) != 3:
-            raise ValueError(f"malformed line {lineno}: expected 3 coordinates, got {len(tokens)}")
-        try:
-            xyz = [float(t) for t in tokens]
-        except ValueError:
-            raise ValueError(f"malformed line {lineno}: {stripped!r} is not numeric") from None
-        if not all(np.isfinite(xyz)):
-            raise ValueError(f"non-finite coordinate on line {lineno}")
-        rows.append(xyz)
-    if len(rows) < 2:
-        raise ValueError(f"point cloud needs at least 2 points, found {len(rows)}")
-    return PointCloud(np.array(rows))
+    points = _fast_table(text, 3)
+    if points is None:
+        rows = []
+        for lineno, stripped in _data_lines(text):
+            tokens = stripped.split()
+            if len(tokens) != 3:
+                raise ValueError(
+                    f"malformed line {lineno}: expected 3 coordinates, got {len(tokens)}"
+                )
+            try:
+                xyz = [float(t) for t in tokens]
+            except ValueError:
+                raise ValueError(f"malformed line {lineno}: {stripped!r} is not numeric") from None
+            if not all(np.isfinite(xyz)):
+                raise ValueError(f"non-finite coordinate on line {lineno}")
+            rows.append(xyz)
+        points = np.array(rows)
+    if len(points) < 2:
+        raise ValueError(f"point cloud needs at least 2 points, found {len(points)}")
+    return PointCloud(points)
 
 
 def format_number(value: float) -> str:
@@ -149,37 +181,53 @@ def format_number(value: float) -> str:
     return f"{float(value):.16e}"
 
 
+_FORMAT_CHUNK_ROWS = 1024
+
+
+def _format_rows(table: np.ndarray, sep: str) -> str:
+    r"""The rows of a 2-d array as ``format_number`` text, ``sep`` between columns.
+
+    Equal to ``"\n".join(sep.join(map(format_number, row)) for row in table) + "\n"``.
+    """
+    row_format = sep.join(["%.16e"] * table.shape[1]) + "\n"
+    chunks = []
+    for start in range(0, len(table), _FORMAT_CHUNK_ROWS):
+        block = table[start : start + _FORMAT_CHUNK_ROWS]
+        chunks.append((row_format * len(block)) % tuple(block.ravel().tolist()))
+    return "".join(chunks) or "\n"
+
+
 def write_xyz(cloud: PointCloud) -> str:
     """Serialize a cloud so that ``parse_xyz`` reproduces it bit-exactly."""
-    lines = [" ".join(format_number(c) for c in p) for p in cloud.points]
-    return "\n".join(lines) + "\n"
+    return _format_rows(cloud.points, " ")
 
 
-def parse_scores(source, n: int) -> ScoreVector:
-    """Parse a one-number-per-line score file of exactly ``n`` values."""
+def parse_scores(source, n: int | None = None) -> ScoreVector:
+    """Parse a one-number-per-line score file; with ``n`` given, it must hold exactly n values."""
     text = _as_text(source)
-    values = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if len(stripped.split()) != 1:
-            raise ValueError(f"malformed line {lineno}: expected one number per line")
-        try:
-            value = float(stripped)
-        except ValueError:
-            raise ValueError(f"malformed line {lineno}: {stripped!r} is not numeric") from None
-        if not np.isfinite(value):
-            raise ValueError(f"non-finite score on line {lineno}")
-        values.append(value)
-    if len(values) != n:
+    table = _fast_table(text, 1)
+    if table is None:
+        values = []
+        for lineno, stripped in _data_lines(text):
+            if len(stripped.split()) != 1:
+                raise ValueError(f"malformed line {lineno}: expected one number per line")
+            try:
+                value = float(stripped)
+            except ValueError:
+                raise ValueError(f"malformed line {lineno}: {stripped!r} is not numeric") from None
+            if not np.isfinite(value):
+                raise ValueError(f"non-finite score on line {lineno}")
+            values.append(value)
+        table = np.array(values)
+    values = table.ravel()
+    if n is not None and len(values) != n:
         raise ValueError(f"score count mismatch: expected {n}, found {len(values)}")
-    return ScoreVector(np.array(values), RAW_SALIENCY)
+    return ScoreVector(values, RAW_SALIENCY)
 
 
 def write_scores(scores: ScoreVector) -> str:
     """Serialize scores one per line at full round-trip precision."""
-    return "\n".join(format_number(v) for v in scores.values) + "\n"
+    return _format_rows(scores.values[:, None], "")
 
 
 def load_coefficients(source) -> CoefficientSet:
@@ -190,21 +238,31 @@ def load_coefficients(source) -> CoefficientSet:
     text = _as_text(source)
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and over-long integer literals.
         raise ValueError(f"invalid coefficient document: {exc}") from None
-    if not isinstance(doc, dict) or "coefficients" not in doc:
+    entries = doc.get("coefficients") if isinstance(doc, dict) else None
+    if not isinstance(entries, list):
         raise ValueError("coefficient document must be an object with a 'coefficients' list")
     provenance = str(doc.get("provenance", ""))
     values = np.zeros(NUM_FEATURES)
     flags = np.zeros(NUM_FEATURES, dtype=bool)
     seen = set()
-    for entry in doc["coefficients"]:
-        try:
-            idx = int(entry["index"])
-            value = float(entry["value"])
-            significant = bool(entry["significant"])
-        except (KeyError, TypeError, ValueError):
-            raise ValueError(f"bad coefficient entry: {entry!r}") from None
+    for entry in entries:
+        if not isinstance(entry, dict) or not {"index", "value", "significant"} <= entry.keys():
+            raise ValueError(f"bad coefficient entry: {entry!r}")
+        idx, value, significant = entry["index"], entry["value"], entry["significant"]
+        # JSON true/false load as bool, a subclass of int.
+        if type(idx) is not int:
+            raise ValueError(f"coefficient index must be a JSON integer, got {idx!r}")
+        if type(significant) is not bool:
+            raise ValueError(
+                f"coefficient {idx} significance must be a JSON boolean, got {significant!r}"
+            )
+        # Written so that NaN fails; an exact int-float comparison cannot overflow.
+        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+            raise ValueError(f"coefficient {idx} value must be a finite JSON number, got {value!r}")
+        value = float(value)
         if not 1 <= idx <= NUM_FEATURES:
             raise ValueError(f"coefficient index {idx} outside 1..{NUM_FEATURES}")
         if idx in seen:

@@ -247,6 +247,20 @@ class TestAttackCommand:
         assert code == 2
         assert "coefficient source" in err
 
+    @pytest.mark.parametrize(
+        "document",
+        ['{"coefficients": 5}', '{"coefficients": null}', "[" * 100_000 + "]" * 100_000],
+        ids=["number", "null", "deep"],
+    )
+    def test_bad_coefficient_file(self, capsys, tmp_path, document):
+        path = tmp_path / "cloud.xyz"
+        path.write_text(write_xyz(random_cloud(27, n=30)))
+        bad = tmp_path / "bad.json"
+        bad.write_text(document)
+        code, _, err = run(capsys, ["attack", str(path), "--preset", str(bad), "--top-n", "5"])
+        assert code == 2
+        assert err.startswith("error: ")
+
 
 class TestOverlapCommand:
     def write_scores_file(self, path, values):

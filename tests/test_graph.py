@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from pointdrop import graph as graph_module
-from pointdrop import PointCloud, build_knn_graph
+from pointdrop import PointCloud, ball_count, build_knn_graph
 from test_acceptance import box_cloud
 
 PATH3 = PointCloud([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
@@ -186,6 +186,19 @@ class TestKnnSelection:
         assert len(calls) > 1
         assert all(rows < n for rows, _ in calls[1:])
         assert all(k < n for _, k in calls)
+
+    def test_threaded_queries_match_single_thread(self, monkeypatch):
+        # A snapped cloud with duplicates, so ties widen the window on some rows.
+        rng = np.random.default_rng(42)
+        pts = np.round(rng.uniform(-1, 1, size=(3000, 3)), 1)
+        cloud = PointCloud(pts)
+        results = []
+        for threshold in (1, len(pts) + 1):  # threaded, then single-threaded
+            monkeypatch.setattr(graph_module, "_THREADED_QUERY_MIN_POINTS", threshold)
+            results.append((graph_module._knn_select(pts, 10), ball_count(cloud, 0.15)))
+        (threaded_knn, threaded_balls), (single_knn, single_balls) = results
+        np.testing.assert_array_equal(threaded_knn, single_knn)
+        np.testing.assert_array_equal(threaded_balls, single_balls)
 
     @pytest.mark.parametrize(
         "scale", [2.0**-1000, 2.0**700, 1e200, 1e-300], ids=["2^-1000", "2^700", "1e200", "1e-300"]

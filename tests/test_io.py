@@ -1,5 +1,7 @@
 """Parsing, serialization, and cloud normalization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,10 @@ class TestScores:
         with pytest.raises(ValueError, match="non-finite"):
             parse_scores("nan\n1\n", 2)
 
+    def test_count_check_optional(self):
+        sv = parse_scores("# header\n3\n\n1\n")
+        np.testing.assert_array_equal(sv.values, [3, 1])
+
     def test_round_trip(self):
         sv = ScoreVector([0.1, 1 / 7, 2e-5], RAW_SALIENCY)
         again = parse_scores(write_scores(sv), 3)
@@ -155,6 +161,37 @@ class TestCoefficients:
         truncated = doc.replace('"index": 14,', '"index": 13,')
         with pytest.raises(ValueError, match="missing|once|duplicate"):
             load_coefficients(truncated)
+
+    @pytest.mark.parametrize("entries", ["5", "null"])
+    def test_coefficients_must_be_a_list(self, entries):
+        with pytest.raises(ValueError, match="'coefficients' list"):
+            load_coefficients(f'{{"coefficients": {entries}}}')
+
+    def test_deep_nesting_named(self):
+        depth = 100_000
+        with pytest.raises(ValueError, match="invalid coefficient document"):
+            load_coefficients("[" * depth + "]" * depth)
+
+    def _entry_doc(self, **override):
+        doc = json.loads(self._doc(np.zeros(14), np.zeros(14, dtype=bool)))
+        doc["coefficients"][0].update(override)
+        return json.dumps(doc)
+
+    def test_significance_must_be_boolean(self):
+        with pytest.raises(ValueError, match="JSON boolean"):
+            load_coefficients(self._entry_doc(significant="false"))
+
+    @pytest.mark.parametrize("index", [1.7, True])
+    def test_index_must_be_integer(self, index):
+        with pytest.raises(ValueError, match="JSON integer"):
+            load_coefficients(self._entry_doc(index=index))
+
+    @pytest.mark.parametrize(
+        "value", ["0.5", True, None, 10**400], ids=["string", "bool", "null", "huge-int"]
+    )
+    def test_value_must_be_finite_number(self, value):
+        with pytest.raises(ValueError, match="finite JSON number"):
+            load_coefficients(self._entry_doc(value=value, significant=True))
 
     def test_constructor_invariant(self):
         values = np.zeros(14)
