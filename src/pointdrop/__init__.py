@@ -41,7 +41,6 @@ from .io import (
 from .presets import REFERENCE_R2_PERCENT, get_preset, preset_names
 from .regression import (
     RegressionFit,
-    TrainingSample,
     average_coefficients,
     fit_mlr,
     fit_report,
@@ -61,7 +60,6 @@ __all__ = [
     "REFERENCE_R2_PERCENT",
     "RegressionFit",
     "ScoreVector",
-    "TrainingSample",
     "average_coefficients",
     "ball_count",
     "build_knn_graph",

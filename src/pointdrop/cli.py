@@ -17,6 +17,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .attack import (
     AttackResult,
     drop_attack,
@@ -104,24 +106,21 @@ def _pair_corpus(cloud_dir: str, scores_dir: str):
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     pairs = _pair_corpus(args.cloud_dir, args.scores_dir)
-    samples = []
+    blocks = []
     for stem, cloud_path, score_path in pairs:
         cloud = _read_cloud(str(cloud_path), args.normalize)
         raw = parse_scores(score_path.read_text(), cloud.n)
         z = normalize_scores(raw)
         feats = extract_features(cloud, **_feature_options(args))
-        samples.extend(select_top_targets(z, feats, args.top_n))
-    fit = fit_mlr(samples, alpha=args.alpha)
+        blocks.append(select_top_targets(z, feats, args.top_n))
+    xs, ys = zip(*blocks)
+    fit = fit_mlr(np.concatenate(xs), np.concatenate(ys), alpha=args.alpha)
     provenance = (
         f"fitted: {len(pairs)} clouds, per-cloud min-max score normalization, "
         f"top-{args.top_n} pooling, alpha={args.alpha:g}"
     )
     sys.stdout.write(f"{provenance}\n{fit_report(fit)}")
-    document = write_coefficients(fit.to_coefficient_set(provenance))
-    if args.output is None:
-        sys.stdout.write(document)
-    else:
-        Path(args.output).write_text(document)
+    _emit(write_coefficients(fit.to_coefficient_set(provenance)), args.output)
     return 0
 
 

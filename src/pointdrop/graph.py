@@ -153,7 +153,10 @@ def build_knn_graph(cloud: PointCloud, k: int, sigma: float | None = None) -> Ne
     # A width that underflows to 0 would turn coincident points' 0/0 into NaN.
     width = max(math.ldexp(sigma, -exponent), math.ulp(0.0))
 
-    weights = np.exp(-np.minimum((lengths / width) ** 2, _MAX_KERNEL_EXPONENT))
+    # A tiny given width can square to inf; the clamp maps that to weight
+    # exp(-700), so the overflow is expected and harmless.
+    with np.errstate(over="ignore"):
+        weights = np.exp(-np.minimum((lengths / width) ** 2, _MAX_KERNEL_EXPONENT))
     adjacency = sp.csr_matrix(
         (np.concatenate([weights, weights]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
         shape=(n, n),

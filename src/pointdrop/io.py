@@ -122,12 +122,6 @@ class CoefficientSet:
         object.__setattr__(self, "significant", sig)
 
 
-def _as_text(source) -> str:
-    if hasattr(source, "read"):
-        return source.read()
-    return source
-
-
 def _data_lines(text: str):
     """(1-based line number, stripped line) for every line that is not blank or a ``#`` comment."""
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -147,13 +141,11 @@ def _fast_table(text: str, width: int) -> np.ndarray | None:
     return table
 
 
-def parse_xyz(source) -> PointCloud:
+def parse_xyz(text: str) -> PointCloud:
     """Parse whitespace-separated xyz text into a cloud of at least two points.
 
-    ``source`` is a string or a file-like object. Malformed lines are
-    reported with their 1-based line number.
+    Malformed lines are reported with their 1-based line number.
     """
-    text = _as_text(source)
     points = _fast_table(text, 3)
     if points is None:
         rows = []
@@ -202,9 +194,8 @@ def write_xyz(cloud: PointCloud) -> str:
     return _format_rows(cloud.points, " ")
 
 
-def parse_scores(source, n: int | None = None) -> ScoreVector:
-    """Parse a one-number-per-line score file; with ``n`` given, it must hold exactly n values."""
-    text = _as_text(source)
+def parse_scores(text: str, n: int | None = None) -> ScoreVector:
+    """Parse one-number-per-line score text; with ``n`` given, it must hold exactly n values."""
     table = _fast_table(text, 1)
     if table is None:
         values = []
@@ -230,12 +221,12 @@ def write_scores(scores: ScoreVector) -> str:
     return _format_rows(scores.values[:, None], "")
 
 
-def load_coefficients(source) -> CoefficientSet:
-    """Load a coefficient document, enforcing the insignificant-implies-zero rule.
+def load_coefficients(text: str) -> CoefficientSet:
+    """Load coefficient document text, enforcing the insignificant-implies-zero rule.
 
-    The document must declare every index 1..14 exactly once.
+    The document must declare every index 1..14 exactly once; ``provenance``,
+    when present, must be a JSON string.
     """
-    text = _as_text(source)
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -244,7 +235,9 @@ def load_coefficients(source) -> CoefficientSet:
     entries = doc.get("coefficients") if isinstance(doc, dict) else None
     if not isinstance(entries, list):
         raise ValueError("coefficient document must be an object with a 'coefficients' list")
-    provenance = str(doc.get("provenance", ""))
+    provenance = doc.get("provenance", "")
+    if not isinstance(provenance, str):
+        raise ValueError(f"coefficient provenance must be a JSON string, got {provenance!r}")
     values = np.zeros(NUM_FEATURES)
     flags = np.zeros(NUM_FEATURES, dtype=bool)
     seen = set()

@@ -65,34 +65,34 @@ _ANOMALY_NOTE = {
 }
 
 
+def _build_presets() -> dict:
+    presets = {}
+    for model in _MODELS:
+        for n in _TOP_NS:
+            name = f"{model}-N{n}"
+            values = np.array(_TABLES[model][n], dtype=np.float64)
+            provenance = f"{name} ({_ANOMALY_NOTE[name]})" if name in _ANOMALY_NOTE else name
+            # Printed-zero convention: 0 marks an insignificant coefficient.
+            presets[name] = CoefficientSet(values, values != 0.0, provenance)
+    for n in _TOP_NS:
+        avg = average_coefficients([presets[f"{model}-N{n}"] for model in _MODELS])
+        provenance = f"avg-N{n} = mean of ({avg.provenance})"
+        presets[f"avg-N{n}"] = CoefficientSet(avg.coefficients, avg.significant, provenance)
+    return presets
+
+
+# Built once: CoefficientSet is immutable, so every caller shares these instances.
+_PRESETS = _build_presets()
+
+
 def preset_names() -> tuple[str, ...]:
     """All bundled preset names, per-classifier rows first, then averages."""
-    names = [f"{model}-N{n}" for model in _MODELS for n in _TOP_NS]
-    names.extend(f"avg-N{n}" for n in _TOP_NS)
-    return tuple(names)
+    return tuple(_PRESETS)
 
 
 def get_preset(name: str) -> CoefficientSet:
     """Bundled CoefficientSet by name, e.g. ``pointnet-N150`` or ``avg-N100``."""
-    if name.startswith("avg-N"):
-        try:
-            n = int(name[len("avg-N"):])
-        except ValueError:
-            n = -1
-        if n in _TOP_NS:
-            avg = average_coefficients([get_preset(f"{m}-N{n}") for m in _MODELS])
-            return CoefficientSet(
-                avg.coefficients, avg.significant, f"{name} = mean of ({avg.provenance})"
-            )
-    else:
-        model, _, suffix = name.partition("-N")
-        row = _TABLES.get(model, {}).get(int(suffix) if suffix.isdigit() else -1)
-        if row is not None:
-            values = np.array(row, dtype=np.float64)
-            provenance = name
-            if name in _ANOMALY_NOTE:
-                provenance = f"{name} ({_ANOMALY_NOTE[name]})"
-            # Printed-zero convention: 0 marks an insignificant coefficient.
-            return CoefficientSet(values, values != 0.0, provenance)
-    known = ", ".join(preset_names())
-    raise KeyError(f"unknown preset {name!r}; bundled presets: {known}")
+    if name not in _PRESETS:
+        known = ", ".join(_PRESETS)
+        raise KeyError(f"unknown preset {name!r}; bundled presets: {known}")
+    return _PRESETS[name]

@@ -6,6 +6,10 @@ s^2 (X^T X)^-1 with s^2 = RSS / (m - q), a two-sided t-test per coefficient,
 and R^2 = 1 - RSS/TSS with TSS taken about the target mean. Coefficients
 whose p-value clears the chosen alpha form the significant set used by
 downstream score prediction.
+
+The fit takes plain arrays: ``select_top_targets`` turns one cloud's scores
+and features into its top-N rows (x, y), callers concatenate the per-cloud
+blocks, and ``fit_mlr`` fits the pooled (m, 14) design against the m targets.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import numpy as np
 import scipy.linalg
 from scipy.stats import t as student_t
 
+from .attack import rank_top_n
 from .features import FEATURE_NAMES, FeatureMatrix
 from .io import NORMALIZED_ADVERSARIAL, NUM_FEATURES, CoefficientSet, ScoreVector, _readonly
 
@@ -23,28 +28,6 @@ from .io import NORMALIZED_ADVERSARIAL, NUM_FEATURES, CoefficientSet, ScoreVecto
 # exact interpolation. OLS inference degenerates there (s^2 = 0), so the guard
 # reports p = 0 for nonzero coefficients and p = 1 for zero ones.
 _ZERO_RESIDUAL_FRACTION = 1e-20
-
-
-@dataclass(frozen=True)
-class TrainingSample:
-    """One (feature row, target score) pair.
-
-    Targets produced by the score-normalization pipeline lie in [0, 1];
-    arbitrary finite targets are accepted so planted and rescaled models
-    remain expressible.
-    """
-
-    features: np.ndarray
-    target: float
-
-    def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
-        if feats.shape != (NUM_FEATURES,):
-            raise ValueError(f"expected {NUM_FEATURES} features, got shape {feats.shape}")
-        if not np.all(np.isfinite(feats)) or not np.isfinite(self.target):
-            raise ValueError("training sample contains non-finite values")
-        object.__setattr__(self, "features", _readonly(feats))
-        object.__setattr__(self, "target", float(self.target))
 
 
 @dataclass(frozen=True)
@@ -87,24 +70,31 @@ class RegressionFit:
         return CoefficientSet(np.where(sig, self.coefficients, 0.0), sig, provenance)
 
 
-def fit_mlr(samples, alpha: float = 0.05) -> RegressionFit:
+def fit_mlr(x, y, alpha: float = 0.05) -> RegressionFit:
     """Least-squares fit of targets on the fourteen features.
 
     Parameters
     ----------
-    samples : sequence of TrainingSample
-        Pooled rows; must number more than the coefficient count.
+    x : array_like, shape (m, 14)
+        Pooled feature rows; m must exceed the coefficient count.
+    y : array_like, shape (m,)
+        Target score of each row. Any finite values are accepted, so planted
+        and rescaled models stay expressible.
     alpha : float
         Two-sided significance level for the per-coefficient t-tests.
     """
-    samples = list(samples)
-    m = len(samples)
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     q = NUM_FEATURES
+    if x.ndim != 2 or x.shape[1] != q or y.shape != x.shape[:1]:
+        raise ValueError(
+            f"expected an (m, {q}) design and m targets, got shapes {x.shape} and {y.shape}"
+        )
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("training data contains non-finite values")
+    m = len(y)
     if m <= q:
         raise ValueError(f"need more than {q} samples to fit, got {m}")
-
-    x = np.array([s.features for s in samples])
-    y = np.array([s.target for s in samples])
 
     # Pivoted QR gives the fit, the rank check, and (X^T X)^-1 in one pass.
     qmat, rmat, piv = scipy.linalg.qr(x, mode="economic", pivoting=True)
@@ -160,21 +150,19 @@ def fit_mlr(samples, alpha: float = 0.05) -> RegressionFit:
 
 
 def select_top_targets(cloud_scores: ScoreVector, features: FeatureMatrix, n_top: int):
-    """Pair the highest-scoring points of one cloud with their feature rows.
+    """The feature rows and targets of one cloud's n_top highest-scoring points.
 
-    Scores must be normalized-adversarial; ties resolve to the lower index.
-    Returns a list of TrainingSample in descending score order.
+    Scores must be normalized-adversarial; rows come in ``rank_top_n`` order,
+    descending score with ties to the lower index. Returns ``(x, y)`` with
+    shapes (n_top, 14) and (n_top,).
     """
     if cloud_scores.kind != NORMALIZED_ADVERSARIAL:
         raise ValueError(f"scores must be normalized-adversarial, got kind {cloud_scores.kind!r}")
     n = cloud_scores.n
     if features.n != n:
         raise ValueError(f"feature rows ({features.n}) do not match score count ({n})")
-    if not 0 <= n_top <= n:
-        raise ValueError(f"top count must satisfy 0 <= N <= {n}, got {n_top}")
-    values = cloud_scores.values
-    order = np.lexsort((np.arange(n), -values))[:n_top]
-    return [TrainingSample(features.values[i], values[i]) for i in order]
+    order = rank_top_n(cloud_scores, n_top)
+    return features.values[order], cloud_scores.values[order]
 
 
 def average_coefficients(sets) -> CoefficientSet:

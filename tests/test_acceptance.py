@@ -14,7 +14,6 @@ import oracles
 from pointdrop import (
     CoefficientSet,
     PointCloud,
-    TrainingSample,
     build_knn_graph,
     drop_attack,
     extract_features,
@@ -149,27 +148,25 @@ def _planted_samples(seed, m, noise_sd=0.01):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(m, 14))
     y = x @ _PLANTED + rng.normal(0.0, noise_sd, m)
-    return [TrainingSample(x[i], y[i]) for i in range(m)]
+    return x, y
 
 
 def test_04_regression_recovery():
     start = time.perf_counter()
 
-    fit = fit_mlr(_planted_samples(42, 10000))
+    fit = fit_mlr(*_planted_samples(42, 10000))
     coef_err = float(np.abs(fit.coefficients - _PLANTED).max())
     r2 = fit.r_squared
 
     insignificant_counts = np.zeros(_PLANTED_ZEROS.size)
     for seed in range(100):
-        trial = fit_mlr(_planted_samples(seed, 10000))
+        trial = fit_mlr(*_planted_samples(seed, 10000))
         insignificant_counts += ~trial.significant[_PLANTED_ZEROS]
     min_count = int(insignificant_counts.min())
 
-    small = _planted_samples(7, 30, noise_sd=0.1)
-    small_fit = fit_mlr(small)
-    ref = oracles.ols_oracle(
-        np.array([s.features for s in small]), np.array([s.target for s in small])
-    )
+    small_x, small_y = _planted_samples(7, 30, noise_sd=0.1)
+    small_fit = fit_mlr(small_x, small_y)
+    ref = oracles.ols_oracle(small_x, small_y)
     oracle_err = max(
         float(np.abs(small_fit.t_stats - ref["t_stats"]).max()),
         float(np.abs(small_fit.p_values - ref["p_values"]).max()),
@@ -229,7 +226,7 @@ def test_06_end_to_end_overlap():
     planted_values[[0, 7, 9, 11, 12]] = [40.0, 6.0, 0.3, 12.0, 8.0]
     planted = CoefficientSet(planted_values, planted_values != 0.0, "planted")
 
-    samples = []
+    blocks = []
     eval_pairs = []
     for ci, cloud in enumerate(clouds):
         feats = extract_features(cloud)
@@ -237,11 +234,12 @@ def test_06_end_to_end_overlap():
         noise_sd = 0.05 * float(clean.values.std())
         raw = synthetic_score_oracle(feats, planted, noise_sd, seed=1000 + ci)
         if ci < 80:
-            samples.extend(select_top_targets(normalize_scores(raw), feats, 200))
+            blocks.append(select_top_targets(normalize_scores(raw), feats, 200))
         else:
             eval_pairs.append((feats, raw))
 
-    fitted = fit_mlr(samples).to_coefficient_set()
+    xs, ys = zip(*blocks)
+    fitted = fit_mlr(np.concatenate(xs), np.concatenate(ys)).to_coefficient_set()
     overlaps = [
         overlap(rank_top_n(predict_scores(feats, fitted), 200), rank_top_n(raw, 200))
         for feats, raw in eval_pairs

@@ -1,10 +1,12 @@
-"""End-to-end command-line tests driven through main(argv)."""
+"""End-to-end command-line tests driven through main(argv), and the package's public names."""
 
 import re
+import types
 
 import numpy as np
 import pytest
 
+import pointdrop
 from pointdrop import (
     PointCloud,
     ScoreVector,
@@ -339,3 +341,16 @@ class TestSigmaFlag:
         path.write_text(write_xyz(random_cloud(41, n=10)))
         with pytest.raises(SystemExit):
             run(capsys, ["features", str(path), "--sigma", "-1"])
+
+
+def test_public_surface():
+    names = pointdrop.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(pointdrop, name), name
+    exported = {
+        name
+        for name, value in vars(pointdrop).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(names) == exported

@@ -55,12 +55,6 @@ class TestParseXyz:
         with pytest.raises(ValueError, match="non-finite"):
             parse_xyz("0 0 0\ninf 0 0\n")
 
-    def test_file_like_source(self, tmp_path):
-        path = tmp_path / "c.xyz"
-        path.write_text("0 0 0\n1 1 1\n")
-        with open(path) as handle:
-            assert parse_xyz(handle).n == 2
-
 
 class TestWriteXyz:
     def test_round_trip_exact(self):
@@ -192,6 +186,18 @@ class TestCoefficients:
     def test_value_must_be_finite_number(self, value):
         with pytest.raises(ValueError, match="finite JSON number"):
             load_coefficients(self._entry_doc(value=value, significant=True))
+
+    @pytest.mark.parametrize("provenance", [None, [1, 2], 3], ids=["null", "list", "number"])
+    def test_provenance_must_be_string(self, provenance):
+        doc = json.loads(self._doc(np.zeros(14), np.zeros(14, dtype=bool)))
+        doc["provenance"] = provenance
+        with pytest.raises(ValueError, match="provenance must be a JSON string"):
+            load_coefficients(json.dumps(doc))
+
+    def test_provenance_optional(self):
+        doc = json.loads(self._doc(np.zeros(14), np.zeros(14, dtype=bool)))
+        del doc["provenance"]
+        assert load_coefficients(json.dumps(doc)).provenance == ""
 
     def test_constructor_invariant(self):
         values = np.zeros(14)

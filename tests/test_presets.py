@@ -98,3 +98,14 @@ class TestRoundTrip:
             get_preset("pointnet-N75")
         with pytest.raises(KeyError, match="unknown preset"):
             get_preset("avg-N999")
+
+    @pytest.mark.parametrize(
+        "name",
+        ["pointnet-N0150", "avg-N+100", "avg-N 100", "dgcnn-N\u0665\u0660"],
+        ids=["leading-zero", "plus-sign", "space", "arabic-indic-digits"],
+    )
+    def test_only_listed_names_resolve(self, name):
+        # Each of these parses to a bundled N with int(); none is a listed name.
+        assert name not in preset_names()
+        with pytest.raises(KeyError, match="unknown preset"):
+            get_preset(name)

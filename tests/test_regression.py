@@ -8,17 +8,12 @@ from pointdrop import (
     CoefficientSet,
     FeatureMatrix,
     ScoreVector,
-    TrainingSample,
     average_coefficients,
     fit_mlr,
     fit_report,
     select_top_targets,
 )
 from pointdrop.io import NORMALIZED_ADVERSARIAL, RAW_SALIENCY
-
-
-def make_samples(x, y):
-    return [TrainingSample(x[i], y[i]) for i in range(len(y))]
 
 
 def feature_block(rng, n):
@@ -34,7 +29,7 @@ class TestFitMlr:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(60, 14))
         y = 2.0 * x[:, 0] - 3.0 * x[:, 1]
-        fit = fit_mlr(make_samples(x, y))
+        fit = fit_mlr(x, y)
         assert fit.coefficients[0] == pytest.approx(2.0, abs=1e-8)
         assert fit.coefficients[1] == pytest.approx(-3.0, abs=1e-8)
         assert np.abs(fit.coefficients[2:]).max() < 1e-8
@@ -52,7 +47,7 @@ class TestFitMlr:
         )
         x = rng.normal(size=(10000, 14))
         y = x @ planted + rng.normal(0.0, 0.01, 10000)
-        fit = fit_mlr(make_samples(x, y))
+        fit = fit_mlr(x, y)
         assert np.abs(fit.coefficients - planted).max() < 1e-2
         assert fit.r_squared > 0.99
         ref = oracles.ols_oracle(x, y)
@@ -63,7 +58,7 @@ class TestFitMlr:
         rng = np.random.default_rng(7)
         x = rng.normal(size=(30, 14))
         y = x @ rng.normal(size=14) + rng.normal(0.0, 0.5, 30)
-        fit = fit_mlr(make_samples(x, y))
+        fit = fit_mlr(x, y)
         ref = oracles.ols_oracle(x, y)
         np.testing.assert_allclose(fit.t_stats, ref["t_stats"], atol=1e-9)
         np.testing.assert_allclose(fit.p_values, ref["p_values"], atol=1e-9)
@@ -74,8 +69,8 @@ class TestFitMlr:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(100, 14))
         y = x @ rng.normal(size=14) + rng.normal(0.0, 0.2, 100)
-        base = fit_mlr(make_samples(x, y))
-        scaled = fit_mlr(make_samples(x, 37.5 * y))
+        base = fit_mlr(x, y)
+        scaled = fit_mlr(x, 37.5 * y)
         np.testing.assert_allclose(scaled.coefficients, 37.5 * base.coefficients, rtol=1e-9)
         np.testing.assert_allclose(scaled.t_stats, base.t_stats, rtol=1e-9)
         np.testing.assert_allclose(scaled.p_values, base.p_values, atol=1e-9)
@@ -86,8 +81,8 @@ class TestFitMlr:
         x = rng.normal(size=(80, 14))
         y = x @ rng.normal(size=14) + rng.normal(0.0, 0.1, 80)
         perm = rng.permutation(80)
-        a = fit_mlr(make_samples(x, y))
-        b = fit_mlr(make_samples(x[perm], y[perm]))
+        a = fit_mlr(x, y)
+        b = fit_mlr(x[perm], y[perm])
         np.testing.assert_allclose(a.coefficients, b.coefficients, atol=1e-10)
         np.testing.assert_allclose(a.p_values, b.p_values, atol=1e-10)
 
@@ -95,8 +90,8 @@ class TestFitMlr:
         rng = np.random.default_rng(10)
         x = rng.normal(size=(50, 14))
         y = x @ rng.normal(size=14) + rng.normal(0.0, 0.1, 50)
-        once = fit_mlr(make_samples(x, y))
-        twice = fit_mlr(make_samples(np.vstack([x, x]), np.concatenate([y, y])))
+        once = fit_mlr(x, y)
+        twice = fit_mlr(np.vstack([x, x]), np.concatenate([y, y]))
         np.testing.assert_allclose(twice.coefficients, once.coefficients, atol=1e-10)
         assert not np.allclose(twice.t_stats, once.t_stats)
 
@@ -106,20 +101,20 @@ class TestFitMlr:
         x[:, 5] = 2.0 * x[:, 2]
         y = rng.normal(size=50)
         with pytest.raises(ValueError, match="rank-deficient") as err:
-            fit_mlr(make_samples(x, y))
+            fit_mlr(x, y)
         assert "f3" in str(err.value) or "f6" in str(err.value)
 
     def test_too_few_samples(self):
         rng = np.random.default_rng(12)
         x = rng.normal(size=(14, 14))
         with pytest.raises(ValueError, match="more than 14"):
-            fit_mlr(make_samples(x, np.zeros(14)))
+            fit_mlr(x, np.zeros(14))
 
     def test_report_contents(self):
         rng = np.random.default_rng(14)
         x = rng.normal(size=(40, 14))
         y = x @ rng.normal(size=14) + rng.normal(0.0, 0.3, 40)
-        fit = fit_mlr(make_samples(x, y))
+        fit = fit_mlr(x, y)
         text = fit_report(fit)
         assert "f1" in text and "f14" in text
         assert "R^2" in text
@@ -132,22 +127,29 @@ class TestFitMlr:
         planted = np.zeros(14)
         planted[[0, 4]] = [2.0, -1.0]
         y = x @ planted + rng.normal(0.0, 0.05, 500)
-        coeffs = fit_mlr(make_samples(x, y)).to_coefficient_set("test-fit")
+        coeffs = fit_mlr(x, y).to_coefficient_set("test-fit")
         assert coeffs.coefficients[0] != 0.0
         for j in range(14):
             if not coeffs.significant[j]:
                 assert coeffs.coefficients[j] == 0.0
         assert coeffs.provenance == "test-fit"
 
-
-class TestTrainingSample:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TrainingSample(np.zeros(13), 0.5)
-        with pytest.raises(ValueError):
-            TrainingSample(np.full(14, np.nan), 0.5)
-        with pytest.raises(ValueError):
-            TrainingSample(np.zeros(14), float("inf"))
+    def test_input_validation(self):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(20, 14))
+        y = rng.normal(size=20)
+        with pytest.raises(ValueError, match="design"):
+            fit_mlr(np.zeros((20, 13)), y)
+        with pytest.raises(ValueError, match="design"):
+            fit_mlr(x, y[:19])
+        nan_row = x.copy()
+        nan_row[3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_mlr(nan_row, y)
+        inf_target = y.copy()
+        inf_target[5] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_mlr(x, inf_target)
 
 
 class TestSelectTopTargets:
@@ -155,23 +157,23 @@ class TestSelectTopTargets:
         rng = np.random.default_rng(16)
         feats = feature_block(rng, 3)
         scores = ScoreVector([0.0, 1.0, 0.5], NORMALIZED_ADVERSARIAL)
-        samples = select_top_targets(scores, feats, 2)
-        assert [s.target for s in samples] == [1.0, 0.5]
-        np.testing.assert_array_equal(samples[0].features, feats.values[1])
-        np.testing.assert_array_equal(samples[1].features, feats.values[2])
+        x, y = select_top_targets(scores, feats, 2)
+        assert y.tolist() == [1.0, 0.5]
+        np.testing.assert_array_equal(x, feats.values[[1, 2]])
 
     def test_all_points(self):
         rng = np.random.default_rng(17)
         feats = feature_block(rng, 5)
         scores = ScoreVector(np.linspace(0, 1, 5), NORMALIZED_ADVERSARIAL)
-        assert len(select_top_targets(scores, feats, 5)) == 5
+        x, y = select_top_targets(scores, feats, 5)
+        assert x.shape == (5, 14) and y.shape == (5,)
 
     def test_tie_breaks_to_lower_index(self):
         rng = np.random.default_rng(18)
         feats = feature_block(rng, 3)
         scores = ScoreVector([1.0, 1.0, 0.0], NORMALIZED_ADVERSARIAL)
-        samples = select_top_targets(scores, feats, 1)
-        np.testing.assert_array_equal(samples[0].features, feats.values[0])
+        x, _ = select_top_targets(scores, feats, 1)
+        np.testing.assert_array_equal(x, feats.values[[0]])
 
     def test_requires_normalized_kind(self):
         rng = np.random.default_rng(19)
