@@ -40,12 +40,11 @@ class AttackResult:
     dropped_indices: np.ndarray
     retained_cloud: PointCloud
     scores: ScoreVector | None
-    n_dropped: int
 
     def __post_init__(self):
         idx = np.array(self.dropped_indices, dtype=np.int64)
-        if idx.ndim != 1 or idx.size != self.n_dropped:
-            raise ValueError(f"expected {self.n_dropped} dropped indices, got shape {idx.shape}")
+        if idx.ndim != 1:
+            raise ValueError(f"dropped indices must be a 1-d vector, got shape {idx.shape}")
         n_total = self.retained_cloud.n + idx.size
         if idx.size:
             if idx.min() < 0 or idx.max() >= n_total:
@@ -61,6 +60,10 @@ class AttackResult:
                 raise ValueError("dropped indices are not in descending score order")
         idx.setflags(write=False)
         object.__setattr__(self, "dropped_indices", idx)
+
+    @property
+    def n_dropped(self) -> int:
+        return self.dropped_indices.size
 
     @property
     def n_total(self) -> int:
@@ -117,7 +120,7 @@ def drop_attack(
     predicted = predict_scores(feats, coeffs)
     dropped = rank_top_n(predicted, n_drop)
     retained = PointCloud(np.delete(cloud.points, dropped, axis=0))
-    return AttackResult(dropped, retained, predicted, n_drop)
+    return AttackResult(dropped, retained, predicted)
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -154,7 +157,7 @@ def random_drop(cloud: PointCloud, n_drop: int, seed: int) -> AttackResult:
         pool[i], pool[j] = pool[j], pool[i]
     dropped = np.array(pool[:n_drop], dtype=np.int64)
     retained = PointCloud(np.delete(cloud.points, dropped, axis=0))
-    return AttackResult(dropped, retained, None, n_drop)
+    return AttackResult(dropped, retained, None)
 
 
 def overlap(set_a, set_b) -> float:

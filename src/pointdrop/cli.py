@@ -39,7 +39,7 @@ from .io import (
     write_xyz,
 )
 from .presets import get_preset, preset_names
-from .regression import fit_mlr, fit_report, select_top_targets
+from .regression import _check_alpha, fit_mlr, fit_report, select_top_targets
 
 
 def _sigma_value(text: str):
@@ -105,6 +105,7 @@ def _pair_corpus(cloud_dir: str, scores_dir: str):
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    _check_alpha(args.alpha)
     pairs = _pair_corpus(args.cloud_dir, args.scores_dir)
     blocks = []
     for stem, cloud_path, score_path in pairs:
@@ -264,10 +265,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
-        # KeyError's str() wraps the message in quotes; unwrap it.
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        sys.stderr.write(f"error: {message}\n")
+    except (ValueError, OSError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
         return 2
 
 

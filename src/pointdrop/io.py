@@ -11,14 +11,12 @@ All serialized numbers carry 17 significant digits, so a write/parse cycle
 is bit-exact for float64. The writers format blocks of rows with one ``%``
 operation each, byte for byte what ``format_number`` gives.
 
-The readers share one blank/comment rule (``_data_lines``). Each first tries
-a fast path: split every data line and convert all tokens in one numpy call,
-which parses each token as Python's ``float`` does. The fast path returns
-only a complete table of the right width with finite values; on anything
-else (a ragged row, a bad token, a non-finite value, the wrong column count)
-it gives up and the per-line loop runs instead. That loop is the only source
-of the numbered error messages, so both paths accept the same texts and
-return the same bits.
+The readers share one blank/comment rule (``_data_lines``) and one
+converter: every data line is split and all tokens go through a single numpy
+call, which parses each token as Python's ``float`` does. Only when that
+call fails, or gives the wrong width or a non-finite value, does a second
+pass walk the lines; it uses the same conversion, builds no rows, and only
+finds the first bad line to name it in the error.
 """
 
 from __future__ import annotations
@@ -130,15 +128,32 @@ def _data_lines(text: str):
             yield lineno, stripped
 
 
-def _fast_table(text: str, width: int) -> np.ndarray | None:
-    """All data lines as an (m, width) array of finite floats, or None on any doubt."""
+def _read_table(text: str, width: int, noun: str) -> np.ndarray:
+    """All data lines as an (m, width) array of finite floats.
+
+    On a bad line, raises ValueError naming its 1-based number; ``noun``
+    names one column value in those messages.
+    """
     try:
         table = np.array([stripped.split() for _, stripped in _data_lines(text)], dtype=np.float64)
+        if table.shape[1:] == (width,) and np.isfinite(table).all():
+            return table
     except ValueError:  # a ragged row or a token float() rejects
-        return None
-    if table.ndim != 2 or table.shape[1] != width or not np.isfinite(table).all():
-        return None
-    return table
+        pass
+    for lineno, stripped in _data_lines(text):
+        tokens = stripped.split()
+        if len(tokens) != width:
+            plural = "s" if width > 1 else ""
+            raise ValueError(
+                f"malformed line {lineno}: expected {width} {noun}{plural}, got {len(tokens)}"
+            )
+        try:
+            row = np.array(tokens, dtype=np.float64)
+        except ValueError:
+            raise ValueError(f"malformed line {lineno}: {stripped!r} is not numeric") from None
+        if not np.isfinite(row).all():
+            raise ValueError(f"non-finite {noun} on line {lineno}")
+    return np.empty((0, width))  # no data lines at all
 
 
 def parse_xyz(text: str) -> PointCloud:
@@ -146,23 +161,7 @@ def parse_xyz(text: str) -> PointCloud:
 
     Malformed lines are reported with their 1-based line number.
     """
-    points = _fast_table(text, 3)
-    if points is None:
-        rows = []
-        for lineno, stripped in _data_lines(text):
-            tokens = stripped.split()
-            if len(tokens) != 3:
-                raise ValueError(
-                    f"malformed line {lineno}: expected 3 coordinates, got {len(tokens)}"
-                )
-            try:
-                xyz = [float(t) for t in tokens]
-            except ValueError:
-                raise ValueError(f"malformed line {lineno}: {stripped!r} is not numeric") from None
-            if not all(np.isfinite(xyz)):
-                raise ValueError(f"non-finite coordinate on line {lineno}")
-            rows.append(xyz)
-        points = np.array(rows)
+    points = _read_table(text, 3, "coordinate")
     if len(points) < 2:
         raise ValueError(f"point cloud needs at least 2 points, found {len(points)}")
     return PointCloud(points)
@@ -196,21 +195,7 @@ def write_xyz(cloud: PointCloud) -> str:
 
 def parse_scores(text: str, n: int | None = None) -> ScoreVector:
     """Parse one-number-per-line score text; with ``n`` given, it must hold exactly n values."""
-    table = _fast_table(text, 1)
-    if table is None:
-        values = []
-        for lineno, stripped in _data_lines(text):
-            if len(stripped.split()) != 1:
-                raise ValueError(f"malformed line {lineno}: expected one number per line")
-            try:
-                value = float(stripped)
-            except ValueError:
-                raise ValueError(f"malformed line {lineno}: {stripped!r} is not numeric") from None
-            if not np.isfinite(value):
-                raise ValueError(f"non-finite score on line {lineno}")
-            values.append(value)
-        table = np.array(values)
-    values = table.ravel()
+    values = _read_table(text, 1, "score").ravel()
     if n is not None and len(values) != n:
         raise ValueError(f"score count mismatch: expected {n}, found {len(values)}")
     return ScoreVector(values, RAW_SALIENCY)

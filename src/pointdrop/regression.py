@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.stats import t as student_t
+from scipy.special import stdtr
 
 from .attack import rank_top_n
 from .features import FEATURE_NAMES, FeatureMatrix
@@ -28,6 +28,11 @@ from .io import NORMALIZED_ADVERSARIAL, NUM_FEATURES, CoefficientSet, ScoreVecto
 # exact interpolation. OLS inference degenerates there (s^2 = 0), so the guard
 # reports p = 0 for nonzero coefficients and p = 1 for zero ones.
 _ZERO_RESIDUAL_FRACTION = 1e-20
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -56,8 +61,7 @@ class RegressionFit:
             object.__setattr__(self, field, _readonly(arr))
         if self.p_values.min() < 0.0 or self.p_values.max() > 1.0:
             raise ValueError("p-values must lie in [0, 1]")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        _check_alpha(self.alpha)
 
     @property
     def significant(self) -> np.ndarray:
@@ -129,7 +133,7 @@ def fit_mlr(x, y, alpha: float = 0.05) -> RegressionFit:
         s2 = rss / df
         std_errors = np.sqrt(s2 * xtx_inv_diag)
         t_stats = coef / std_errors
-        p_values = 2.0 * student_t.sf(np.abs(t_stats), df)
+        p_values = 2.0 * stdtr(df, -np.abs(t_stats))
 
     tss = float(np.sum((y - y.mean()) ** 2))
     if tss > 0.0:

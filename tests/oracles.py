@@ -4,9 +4,10 @@ Everything here deliberately avoids the code paths of the package itself:
 neighbor search is a quadratic loop instead of a kd-tree, graph operators are
 dense arrays instead of sparse matrices, the low-pass system is solved with a
 dense LAPACK solve instead of a sparse factorization, OLS inference comes
-from explicit normal equations, and t-distribution tails come from a
+from explicit normal equations, t-distribution tails come from a
 hand-rolled regularized incomplete beta continued fraction rather than any
-statistics library.
+statistics library, and text tables are read token by token with ``float``
+instead of one numpy conversion.
 """
 
 import math
@@ -49,6 +50,29 @@ def naive_graph(points, k, sigma=None):
     transition = weights / degrees[:, None]
     laplacian = np.diag(degrees) - weights
     return weights, degrees, transition, laplacian, sigma
+
+
+def naive_table(text, width):
+    """Whitespace-separated rows of ``width`` finite floats, converted one token at a time.
+
+    Blank lines and lines starting with ``#`` (after stripping) are skipped.
+    Returns ``(rows, None)`` for a valid text, or ``(None, lineno)`` with the
+    1-based number of the first line holding the wrong token count, a token
+    ``float`` rejects, or a non-finite value.
+    """
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        try:
+            row = [float(token) for token in tokens]
+        except ValueError:
+            return None, lineno
+        if len(row) != width or not all(math.isfinite(v) for v in row):
+            return None, lineno
+        rows.append(row)
+    return np.array(rows, dtype=np.float64).reshape(-1, width), None
 
 
 def _matvec(matrix, signal):

@@ -263,19 +263,19 @@ class TestAttackResult:
         cloud = random_cloud(22, n=10)
         retained = PointCloud(cloud.points[:8])
         with pytest.raises(ValueError, match="duplicate"):
-            AttackResult(np.array([1, 1]), retained, None, 2)
+            AttackResult(np.array([1, 1]), retained, None)
 
     def test_out_of_range_rejected(self):
         cloud = random_cloud(23, n=10)
         retained = PointCloud(cloud.points[:8])
         with pytest.raises(ValueError, match="range"):
-            AttackResult(np.array([3, 99]), retained, None, 2)
+            AttackResult(np.array([3, 99]), retained, None)
 
     def test_score_order_enforced(self):
         cloud = random_cloud(24, n=6)
         retained = PointCloud(cloud.points[:4])
         scores = ScoreVector([0.1, 0.9, 0.5, 0.2, 0.8, 0.0], RAW_SALIENCY)
         with pytest.raises(ValueError, match="descending"):
-            AttackResult(np.array([4, 1]), retained, scores, 2)
-        ok = AttackResult(np.array([1, 4]), retained, scores, 2)
+            AttackResult(np.array([4, 1]), retained, scores)
+        ok = AttackResult(np.array([1, 4]), retained, scores)
         assert ok.n_total == 6

@@ -1,7 +1,11 @@
-"""End-to-end command-line tests driven through main(argv), and the package's public names."""
+"""End-to-end CLI tests through main(argv), the package's public names, and the CLI's imports."""
 
+import os
 import re
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +159,13 @@ class TestFitCommand:
         code, _, err = run(capsys, ["fit", str(cloud_dir), str(scores_dir)])
         assert code == 2
         assert "unmatched" in err and "extra" in err
+
+    def test_bad_alpha_rejected_before_reading(self, capsys, tmp_path):
+        cloud_dir, scores_dir, _ = self.setup_corpus(tmp_path)
+        (cloud_dir / "a.xyz").write_text("1 2 3\n4 5\n")
+        code, _, err = run(capsys, ["fit", str(cloud_dir), str(scores_dir), "--alpha", "1.5"])
+        assert code == 2
+        assert "alpha must lie in (0, 1), got 1.5" in err
 
     def test_empty_cloud_dir(self, capsys, tmp_path):
         cloud_dir = tmp_path / "empty"
@@ -354,3 +365,13 @@ def test_public_surface():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(names) == exported
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs most of a second to import and no command needs it.
+    env = {**os.environ, "PYTHONPATH": str(Path(pointdrop.__file__).parents[1])}
+    probe = "import sys, pointdrop.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"

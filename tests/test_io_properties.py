@@ -1,12 +1,14 @@
 """Property and fuzz tests for the text readers and writers.
 
-The readers' fast path must agree with the per-line loop on every text:
-the same array bits, or the same ValueError message. The chunked writer
-must equal the per-number ``format_number`` join byte for byte. Only
-ValueError may escape the parsers of untrusted text.
+The readers must agree with a token-by-token ``float`` oracle on every text:
+the same array bits, or a ValueError naming the oracle's first bad line.
+Valid texts are walked once; only a bad one gets the second, line-finding
+pass. The chunked writer must equal the per-number ``format_number`` join
+byte for byte. Only ValueError may escape the parsers of untrusted text.
 """
 
 import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from oracles import naive_table
 
 import pointdrop.io as pio
 from pointdrop import PointCloud, ScoreVector, load_coefficients, parse_scores, parse_xyz
@@ -81,38 +84,46 @@ def outcome(parse, text):
     return ("ok", values.shape, values.tobytes())
 
 
-def loop_only(parse, text):
-    with mock.patch.object(pio, "_fast_table", return_value=None):
-        return outcome(parse, text)
+class CountingText(str):
+    """A text that counts how often a reader splits it into lines."""
+
+    walks = 0
+
+    def splitlines(self, *args, **kwargs):
+        self.walks += 1
+        return super().splitlines(*args, **kwargs)
 
 
-@pytest.mark.parametrize(
-    "parse, width",
-    [(parse_xyz, 3), (parse_scores, 1)],
-    ids=["parse_xyz", "parse_scores"],
-)
+def assert_matches_oracle(parse, width, text):
+    rows, bad_line = naive_table(text, width)
+    got = outcome(parse, text)
+    if bad_line is not None:
+        assert got[0] == "error", got
+        assert re.search(r"line (\d+)", got[1]).group(1) == str(bad_line), got
+    elif parse is parse_xyz and len(rows) < 2:
+        assert got[0] == "error" and "at least 2 points" in got[1], got
+    else:
+        shape = rows.shape if parse is parse_xyz else rows.shape[:1]
+        assert got == ("ok", shape, rows.tobytes())
+
+
+READERS = [(parse_xyz, 3), (parse_scores, 1)]
+
+
+@pytest.mark.parametrize("parse, width", READERS, ids=["parse_xyz", "parse_scores"])
 class TestFastReader:
     @SETTINGS
     @given(data=st.data())
-    def test_same_bits_or_same_error(self, parse, width, data):
-        text = data.draw(text_of(width))
-        loop = loop_only(parse, text)
-        assert outcome(parse, text) == loop
-        # The fast path gives up exactly when the loop raises or finds no rows.
-        fast = pio._fast_table(text, width)
-        if fast is None:
-            assert loop[0] == "error" or loop[1] == (0,)
-        elif loop[0] == "ok":
-            assert fast.tobytes() == loop[2]
-        else:
-            assert parse is parse_xyz and len(fast) < 2
+    def test_same_bits_or_first_bad_line(self, parse, width, data):
+        assert_matches_oracle(parse, width, data.draw(text_of(width)))
 
     def test_valid_texts_take_fast_path(self, parse, width):
-        text = "# c\n\n" + " ".join(["1_0"] * width) + "\r\n\u3000" + " ".join(["-0"] * width)
-        table = pio._fast_table(text, width)
-        assert table is not None
-        assert table.tobytes() == np.array([[10.0] * width, [-0.0] * width]).tobytes()
-        assert outcome(parse, text) == loop_only(parse, text)
+        body = "# c\n\n" + " ".join(["1_0"] * width) + "\r\n\u3000" + " ".join(["-0"] * width)
+        text = CountingText(body)
+        got = outcome(parse, text)
+        assert text.walks == 1
+        assert got[2] == np.array([[10.0] * width, [-0.0] * width]).tobytes()
+        assert_matches_oracle(parse, width, body)
 
 
 @pytest.mark.parametrize(
@@ -130,9 +141,11 @@ class TestFastReader:
     ],
 )
 def test_doubts_fall_back_to_numbered_errors(parse, body, message):
+    text = CountingText(body)
     with pytest.raises(ValueError, match=message):
-        parse(body)
-    assert outcome(parse, body) == loop_only(parse, body)
+        parse(text)
+    assert text.walks == 2
+    assert_matches_oracle(parse, dict(READERS)[parse], body)
 
 
 FLOATS = st.floats(allow_nan=True, allow_infinity=True, width=64)
