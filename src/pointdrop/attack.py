@@ -27,7 +27,7 @@ from .io import (
 _MASK64 = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttackResult:
     """Outcome of one drop-N attack.
 
@@ -101,22 +101,16 @@ def rank_top_n(scores: ScoreVector, n_top: int) -> np.ndarray:
 
 
 def drop_attack(
-    cloud: PointCloud,
-    coeffs: CoefficientSet,
-    n_drop: int,
-    k: int = 10,
-    sigma: float | None = None,
-    gamma: float = 0.5,
-    ball_radius: float = 0.1,
+    cloud: PointCloud, coeffs: CoefficientSet, n_drop: int, **feature_options
 ) -> AttackResult:
     """Remove the n_drop points with the highest predicted score.
 
-    Features are extracted from the full input cloud; the surviving points
-    keep their original relative order.
+    Features come from extract_features(cloud, **feature_options) on the
+    full input cloud; the surviving points keep their original relative order.
     """
     if not 0 <= n_drop < cloud.n:
         raise ValueError(f"drop count must satisfy 0 <= N < {cloud.n}, got {n_drop}")
-    feats = extract_features(cloud, k=k, sigma=sigma, gamma=gamma, ball_radius=ball_radius)
+    feats = extract_features(cloud, **feature_options)
     predicted = predict_scores(feats, coeffs)
     dropped = rank_top_n(predicted, n_drop)
     retained = PointCloud(np.delete(cloud.points, dropped, axis=0))

@@ -9,6 +9,11 @@ Subcommands:
 
 Every command is deterministic given its flags; all randomness flows
 through --seed.
+
+Output rule, the same for every command: the result (CSV, coefficient
+JSON, cloud or overlap table) goes to --output, else to stdout; the report
+of fit and attack goes to stdout when the result went to a file, else to
+stderr. So ``pointdrop fit C S > model.json`` writes a loadable model.
 """
 
 from __future__ import annotations
@@ -64,16 +69,17 @@ def _read_cloud(path: str, normalize: bool):
     return normalize_cloud(cloud) if normalize else cloud
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(result: str, output: str | None, report: str = "") -> None:
+    """The result to ``output``, else stdout; the report to stdout after a file, else stderr."""
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.write(result)
+        sys.stderr.write(report)
     else:
-        Path(output).write_text(text)
+        Path(output).write_text(result)
+        sys.stdout.write(report)
 
 
-def _resolve_coefficients(source: str | None) -> CoefficientSet:
-    if source is None:
-        raise ValueError("a coefficient source is required: --preset NAME or --preset FILE")
+def _resolve_coefficients(source: str) -> CoefficientSet:
     if source in preset_names():
         return get_preset(source)
     path = Path(source)
@@ -120,8 +126,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         f"fitted: {len(pairs)} clouds, per-cloud min-max score normalization, "
         f"top-{args.top_n} pooling, alpha={args.alpha:g}"
     )
-    sys.stdout.write(f"{provenance}\n{fit_report(fit)}")
-    _emit(write_coefficients(fit.to_coefficient_set(provenance)), args.output)
+    coefficients = write_coefficients(fit.to_coefficient_set(provenance))
+    _emit(coefficients, args.output, f"{provenance}\n{fit_report(fit)}")
     return 0
 
 
@@ -150,15 +156,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         coeffs = _resolve_coefficients(args.preset)
         result = drop_attack(cloud, coeffs, args.top_n, **_feature_options(args))
         provenance = coeffs.provenance
-    report = _attack_report(result, provenance)
-    cloud_text = write_xyz(result.retained_cloud)
-    if args.output is None:
-        # Retained cloud on stdout stays pipeable; the report goes to stderr.
-        sys.stdout.write(cloud_text)
-        sys.stderr.write(report)
-    else:
-        Path(args.output).write_text(cloud_text)
-        sys.stdout.write(report)
+    _emit(write_xyz(result.retained_cloud), args.output, _attack_report(result, provenance))
     return 0
 
 
@@ -166,14 +164,8 @@ def _cmd_overlap(args: argparse.Namespace) -> int:
     scores_a = parse_scores(Path(args.scores_a).read_text())
     scores_b = parse_scores(Path(args.scores_b).read_text())
     if scores_a.n != scores_b.n:
-        raise ValueError(
-            f"score files differ in length: {scores_a.n} vs {scores_b.n}"
-        )
-    n_list = []
-    for token in str(args.top_n).split(","):
-        token = token.strip()
-        if token:
-            n_list.append(int(token))
+        raise ValueError(f"score files differ in length: {scores_a.n} vs {scores_b.n}")
+    n_list = [int(token) for token in map(str.strip, args.top_n.split(",")) if token]
     if not n_list:
         raise ValueError("no top-N values given")
     lines = ["N,overlap_percent"]
@@ -237,13 +229,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "attack", parents=[graph_opts, out_opts], help="drop the top-N predicted points"
     )
     p.add_argument("cloud", help="xyz cloud file")
-    p.add_argument(
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument(
         "--preset", help="bundled coefficient preset name or a coefficient JSON file path"
     )
-    p.add_argument("--top-n", type=int, default=100, help="points to drop (default 100)")
-    p.add_argument(
+    source.add_argument(
         "--random", action="store_true", help="drop uniformly random points instead of predicted"
     )
+    p.add_argument("--top-n", type=int, default=100, help="points to drop (default 100)")
     p.add_argument("--seed", type=int, default=0, help="random-drop seed (default 0)")
     p.set_defaults(func=_cmd_attack)
 

@@ -57,7 +57,7 @@ _PCG_MAX_GAMMA_DEGREE = 32.0
 _PCG_RTOL = 1e-12  # per-column ||r|| / ||p|| at which CG stops
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureMatrix:
     """n x 14 per-point feature values, columns ordered f1..f14."""
 
@@ -137,11 +137,11 @@ def lpf_solve(graph: NeighborhoodGraph, cloud: PointCloud, gamma: float) -> np.n
     reaches the iteration cap the same bound implies, by sparse LU. Either
     way the residual is checked, which guards both solvers.
     """
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    gamma_dmax = gamma * float(graph.degrees.max())
+    if not (gamma > 0 and 1.0 + 2.0 * gamma_dmax < math.inf):
+        raise ValueError(f"gamma must be positive, with 2 gamma d_max finite, got {gamma}")
     points = cloud.points
     system = sp.identity(graph.n, format="csr") + gamma * graph.laplacian
-    gamma_dmax = gamma * float(graph.degrees.max())
     qstar = None
     if gamma_dmax <= _PCG_MAX_GAMMA_DEGREE:
         # CG reduces the residual by rtol within about (sqrt(kappa) / 2)
@@ -151,7 +151,10 @@ def lpf_solve(graph: NeighborhoodGraph, cloud: PointCloud, gamma: float) -> np.n
         max_iter = math.ceil(0.5 * math.sqrt(kappa) * math.log(2.0 * kappa / _PCG_RTOL))
         qstar = _block_pcg(system, points, 1.0 + gamma * graph.degrees, max_iter)
     if qstar is None:
-        qstar = splu(system.tocsc()).solve(np.array(points))
+        try:  # splu raises RuntimeError on a matrix singular in floating point
+            qstar = splu(system.tocsc()).solve(np.array(points))
+        except RuntimeError as exc:
+            raise ValueError(f"low-pass solve failed: {exc}") from None
 
     # Relative residual bound, widened by the matvec rounding floor
     # eps*||M||*||q|| which dominates only for extreme gamma (~1e9); the

@@ -35,7 +35,7 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegressionFit:
     """Coefficients with OLS inference for one fitted model.
 

@@ -10,6 +10,9 @@ from pointdrop import (
     ScoreVector,
     drop_attack,
     extract_features,
+    fit_mlr,
+    get_preset,
+    normalize_cloud,
     normalize_scores,
     overlap,
     predict_scores,
@@ -136,6 +139,29 @@ class TestDropAttack:
         a = drop_attack(cloud, coeffs, 20, k=6)
         b = drop_attack(cloud, scaled, 20, k=6)
         np.testing.assert_array_equal(a.dropped_indices, b.dropped_indices)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_normalized_drop_set_rescaling_invariance(self, seed):
+        # With the cloud normalized first (the CLI's --normalize), positive
+        # rescaling and shifts leave the drop set unchanged. Power-of-two
+        # scales are exact, so the whole attack is bitwise identical.
+        cloud = random_cloud(seed, n=1024)
+        coeffs = get_preset("avg-N100")
+        base = drop_attack(normalize_cloud(cloud), coeffs, 100)
+        for scale in (2.0**-20, 2.0**30):
+            result = drop_attack(normalize_cloud(PointCloud(scale * cloud.points)), coeffs, 100)
+            np.testing.assert_array_equal(result.dropped_indices, base.dropped_indices)
+            np.testing.assert_array_equal(
+                result.retained_cloud.points, base.retained_cloud.points
+            )
+        # Other scales move features by rounding only; a cut gap far above
+        # that keeps the same points on each side of the cut.
+        ranked = np.sort(base.scores.values)[::-1]
+        assert ranked[99] - ranked[100] > 1e-9
+        for scale, shift in ((0.37, [5.0, -2.0, 0.5]), (123.0, [-40.0, 7.0, 300.0])):
+            moved = PointCloud(scale * cloud.points + shift)
+            result = drop_attack(normalize_cloud(moved), coeffs, 100)
+            assert set(result.dropped_indices) == set(base.dropped_indices)
 
     def test_deterministic(self):
         cloud = random_cloud(9, n=70)
@@ -279,3 +305,19 @@ class TestAttackResult:
             AttackResult(np.array([4, 1]), retained, scores)
         ok = AttackResult(np.array([1, 4]), retained, scores)
         assert ok.n_total == 6
+
+
+def test_result_types_compare_by_identity():
+    # Array-holding value classes compare by identity and hash like objects;
+    # field-wise == would ask numpy for the truth value of an array.
+    cloud = random_cloud(25, n=30)
+    rng = np.random.default_rng(25)
+    x = rng.normal(size=(40, 14))
+    for make in (
+        lambda: random_drop(cloud, 3, 1),
+        lambda: extract_features(cloud, k=4),
+        lambda: fit_mlr(x, x @ np.arange(14.0) + rng.normal(size=40)),
+    ):
+        a, b = make(), make()
+        assert a == a and a != b
+        assert len({a, b}) == 2

@@ -144,14 +144,15 @@ class TestFitCommand:
         slope = 1.0 / (f1.max() - f1.min())
         assert np.isclose(loaded.coefficients[0], slope, rtol=1e-6)
 
-    def test_report_to_stdout_without_output(self, capsys, tmp_path):
+    def test_json_to_stdout_report_to_stderr_without_output(self, capsys, tmp_path):
         cloud_dir, scores_dir, _ = self.setup_corpus(tmp_path)
-        code, out, _ = run(capsys, ["fit", str(cloud_dir), str(scores_dir), "--top-n", "18"])
+        code, out, err = run(capsys, ["fit", str(cloud_dir), str(scores_dir), "--top-n", "18"])
         assert code == 0
-        # Without --output the JSON document follows the report on stdout.
+        # Without --output stdout is the whole JSON document, so
+        # `pointdrop fit C S > model.json` is loadable; the report goes to stderr.
         assert '"coefficients"' in out
-        assert "R^2" in out
-        load_coefficients(out[out.index("{"):])
+        assert load_coefficients(out).significant[0]
+        assert "R^2" in err and "fitted: 2 clouds" in err
 
     def test_unmatched_basenames(self, capsys, tmp_path):
         cloud_dir, scores_dir, _ = self.setup_corpus(tmp_path)
@@ -253,12 +254,22 @@ class TestAttackCommand:
         assert "neither a bundled preset" in err
         assert "pointnet-N50" in err
 
-    def test_missing_preset_flag(self, capsys, tmp_path):
+    def rejected_source(self, capsys, tmp_path, flags):
         path = tmp_path / "cloud.xyz"
         path.write_text(write_xyz(random_cloud(26, n=30)))
-        code, _, err = run(capsys, ["attack", str(path), "--top-n", "5"])
-        assert code == 2
-        assert "coefficient source" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["attack", str(path), "--top-n", "5", *flags])
+        assert exc.value.code == 2
+        return capsys.readouterr().err
+
+    def test_missing_preset_flag(self, capsys, tmp_path):
+        err = self.rejected_source(capsys, tmp_path, [])
+        assert "one of the arguments --preset --random is required" in err
+
+    def test_preset_and_random_exclusive(self, capsys, tmp_path):
+        # A preset given next to --random used to be ignored silently.
+        err = self.rejected_source(capsys, tmp_path, ["--preset", "avg-N50", "--random"])
+        assert "--random: not allowed with argument --preset" in err
 
     @pytest.mark.parametrize(
         "document",

@@ -158,7 +158,7 @@ class TestLpf:
     def test_gamma_validation(self):
         cloud = random_cloud(7)
         g = build_knn_graph(cloud, k=4)
-        for gamma in (0.0, -0.5, float("nan")):
+        for gamma in (0.0, -0.5, float("nan"), float("inf"), 1e308):
             with pytest.raises(ValueError, match="gamma must be positive"):
                 lpf_solve(g, cloud, gamma)
         with pytest.raises(ValueError, match="gamma must be positive"):
