@@ -99,7 +99,7 @@ def _cmd_features(args: argparse.Namespace) -> int:
 
 
 def _pair_corpus(cloud_dir: str, scores_dir: str):
-    """Match cloud files to score files by basename stem."""
+    """(cloud path, score path) pairs, matched by basename stem."""
     clouds = {p.stem: p for p in sorted(Path(cloud_dir).iterdir()) if p.is_file()}
     scores = {p.stem: p for p in sorted(Path(scores_dir).iterdir()) if p.is_file()}
     if not clouds:
@@ -107,19 +107,21 @@ def _pair_corpus(cloud_dir: str, scores_dir: str):
     unmatched = sorted(set(clouds) ^ set(scores))
     if unmatched:
         raise ValueError(f"unmatched cloud/score basenames: {', '.join(unmatched)}")
-    return [(stem, clouds[stem], scores[stem]) for stem in sorted(clouds)]
+    return [(clouds[stem], scores[stem]) for stem in sorted(clouds)]
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     _check_alpha(args.alpha)
     pairs = _pair_corpus(args.cloud_dir, args.scores_dir)
     blocks = []
-    for stem, cloud_path, score_path in pairs:
-        cloud = _read_cloud(str(cloud_path), args.normalize)
-        raw = parse_scores(score_path.read_text(), cloud.n)
-        z = normalize_scores(raw)
-        feats = extract_features(cloud, **_feature_options(args))
-        blocks.append(select_top_targets(z, feats, args.top_n))
+    for cloud_path, score_path in pairs:
+        try:
+            cloud = _read_cloud(str(cloud_path), args.normalize)
+            z = normalize_scores(parse_scores(score_path.read_text(), cloud.n))
+            feats = extract_features(cloud, **_feature_options(args))
+            blocks.append(select_top_targets(z, feats, args.top_n))
+        except ValueError as exc:
+            raise ValueError(f"{cloud_path}, {score_path}: {exc}") from None
     xs, ys = zip(*blocks)
     fit = fit_mlr(np.concatenate(xs), np.concatenate(ys), alpha=args.alpha)
     provenance = (

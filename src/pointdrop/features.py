@@ -25,6 +25,9 @@ block conjugate gradient; sparse LU is the fallback when gamma times the
 largest degree makes the system ill conditioned or CG does not converge.
 The test oracle solves the same system densely.
 
+Lengths are computed in power-of-two units (the scale rule of ``io``): a
+cloud and ball radius scaled by 2^e give the length columns scaled by 2^e.
+
 On clouds of 8192 points or more the ball counts query a k-d tree on every
 CPU scipy sees; each point's count is exact, so the result does not depend
 on the thread count.
@@ -41,7 +44,7 @@ from scipy.sparse.linalg import splu
 from scipy.spatial import cKDTree
 
 from .graph import NeighborhoodGraph, _tree_workers, build_knn_graph
-from .io import NUM_FEATURES, PointCloud, _format_rows, _readonly
+from .io import NUM_FEATURES, PointCloud, _format_rows, _readonly, _unit_exponent
 
 FEATURE_NAMES = tuple(f"f{j}" for j in range(1, NUM_FEATURES + 1))
 
@@ -86,11 +89,6 @@ class FeatureMatrix:
         return self.values[:, FEATURE_NAMES.index(name)]
 
 
-def _column_scale(x: np.ndarray) -> np.ndarray:
-    """Per column, the power of two just above its largest magnitude (1 for a zero column)."""
-    return np.ldexp(1.0, np.frexp(np.abs(x).max(axis=0))[1])
-
-
 def _block_pcg(system: sp.csr_matrix, rhs: np.ndarray, diag: np.ndarray, max_iter: int):
     """Jacobi-preconditioned CG on every column of ``rhs`` at once, from x0 = rhs.
 
@@ -99,17 +97,12 @@ def _block_pcg(system: sp.csr_matrix, rhs: np.ndarray, diag: np.ndarray, max_ite
     by a mask, so an all-zero column (r = 0 from the start) never divides
     0 by 0. Returns None if any column is still running after ``max_iter``.
     """
-    # Power-of-two column scaling is exact and leaves every step unchanged,
-    # but keeps the squared norms from underflowing (overflowing) when the
-    # coordinates are below about 1e-154 (above 1e154) in magnitude.
-    scale = _column_scale(rhs)
-    b = rhs / scale
-    x = b.copy()
-    r = b - system @ x
+    x = rhs.copy()
+    r = rhs - system @ x
     z = r / diag[:, None]
     d = z.copy()
     rz = np.einsum("ij,ij->j", r, z)
-    target = _PCG_RTOL * np.linalg.norm(b, axis=0)
+    target = _PCG_RTOL * np.linalg.norm(rhs, axis=0)
     # Written so that a NaN residual keeps its column running into the cap.
     active = ~(np.linalg.norm(r, axis=0) <= target)
     for _ in range(max_iter):
@@ -125,7 +118,7 @@ def _block_pcg(system: sp.csr_matrix, rhs: np.ndarray, diag: np.ndarray, max_ite
         d = z + np.divide(rz_next, rz, out=np.zeros_like(rz), where=active) * d
         rz = rz_next
         active = ~(np.linalg.norm(r, axis=0) <= target)
-    return None if active.any() else x * scale
+    return None if active.any() else x
 
 
 def lpf_solve(graph: NeighborhoodGraph, cloud: PointCloud, gamma: float) -> np.ndarray:
@@ -135,12 +128,14 @@ def lpf_solve(graph: NeighborhoodGraph, cloud: PointCloud, gamma: float) -> np.n
     [1, 1 + 2 gamma d_max]. While gamma * d_max <= _PCG_MAX_GAMMA_DEGREE it
     is solved by Jacobi-preconditioned block CG; above that bound, or if CG
     reaches the iteration cap the same bound implies, by sparse LU. Either
-    way the residual is checked, which guards both solvers.
+    way the residual is checked, which guards both solvers. All three work in
+    per-column power-of-two units (the scale rule of ``io``).
     """
     gamma_dmax = gamma * float(graph.degrees.max())
     if not (gamma > 0 and 1.0 + 2.0 * gamma_dmax < math.inf):
         raise ValueError(f"gamma must be positive, with 2 gamma d_max finite, got {gamma}")
-    points = cloud.points
+    exponents = _unit_exponent(cloud.points, axis=0)
+    b = np.ldexp(cloud.points, -exponents)
     system = sp.identity(graph.n, format="csr") + gamma * graph.laplacian
     qstar = None
     if gamma_dmax <= _PCG_MAX_GAMMA_DEGREE:
@@ -149,41 +144,38 @@ def lpf_solve(graph: NeighborhoodGraph, cloud: PointCloud, gamma: float) -> np.n
         # cap means rounding has stalled it.
         kappa = 1.0 + 2.0 * gamma_dmax
         max_iter = math.ceil(0.5 * math.sqrt(kappa) * math.log(2.0 * kappa / _PCG_RTOL))
-        qstar = _block_pcg(system, points, 1.0 + gamma * graph.degrees, max_iter)
+        qstar = _block_pcg(system, b, 1.0 + gamma * graph.degrees, max_iter)
     if qstar is None:
         try:  # splu raises RuntimeError on a matrix singular in floating point
-            qstar = splu(system.tocsc()).solve(np.array(points))
+            qstar = splu(system.tocsc()).solve(b)
         except RuntimeError as exc:
             raise ValueError(f"low-pass solve failed: {exc}") from None
 
     # Relative residual bound, widened by the matvec rounding floor
     # eps*||M||*||q|| which dominates only for extreme gamma (~1e9); the
     # max absolute row sum ||M|| of I + gamma L is 1 + 2 gamma d_max.
-    # The norms are taken in the CG's exact power-of-two column units, so
-    # they cannot underflow to a vacuous 0 <= 0 on tiny coordinates.
-    scale = _column_scale(points)
-    residual = np.linalg.norm((system @ qstar - points) / scale, axis=0)
+    residual = np.linalg.norm(system @ qstar - b, axis=0)
     floor = 64.0 * np.finfo(np.float64).eps * (1.0 + 2.0 * gamma_dmax)
-    allowed = np.maximum(
-        1e-8 * np.linalg.norm(points / scale, axis=0),
-        floor * np.linalg.norm(qstar / scale, axis=0),
-    )
+    allowed = np.maximum(1e-8 * np.linalg.norm(b, axis=0), floor * np.linalg.norm(qstar, axis=0))
     # Written so that a NaN residual or tolerance fails the check.
     if not np.all(residual <= allowed):
         raise ValueError(
             f"low-pass solve failed: residual norms {residual.tolist()} "
             f"exceed tolerances {allowed.tolist()}"
         )
-    return qstar
+    return np.ldexp(qstar, exponents)
 
 
 def ball_count(cloud: PointCloud, r: float) -> np.ndarray:
     """Points within the closed ball of radius r around each point, self included (f11)."""
     if not r > 0:
         raise ValueError(f"ball radius must be positive, got {r}")
-    tree = cKDTree(cloud.points)
-    counts = tree.query_ball_point(
-        cloud.points, r, return_length=True, workers=_tree_workers(cloud.n)
+    exponent = _unit_exponent(cloud.points)
+    points = np.ldexp(cloud.points, -exponent)
+    with np.errstate(over="ignore"):  # a radius of inf units counts every point, as it should
+        radius = np.ldexp(r, -exponent)
+    counts = cKDTree(points).query_ball_point(
+        points, radius, return_length=True, workers=_tree_workers(cloud.n)
     )
     return counts.astype(np.int64)
 
@@ -210,12 +202,13 @@ def extract_features(
         Radius of the closed counting ball.
     """
     graph = build_knn_graph(cloud, k=k, sigma=sigma)
-    points = cloud.points
+    exponent = _unit_exponent(cloud.points)
+    points = np.ldexp(cloud.points, -exponent)
     transition, laplacian = graph.transition, graph.laplacian
     pbar = transition @ points
     ptilde = laplacian @ points
     v = np.linalg.norm(points - pbar, axis=1)
-    h = np.linalg.norm(points - lpf_solve(graph, cloud, gamma), axis=1)
+    h = np.linalg.norm(points - lpf_solve(graph, PointCloud(points), gamma), axis=1)
     vh = np.column_stack([v, h])
     vh_bar = transition @ vh
     vh_tilde = laplacian @ vh
@@ -227,12 +220,14 @@ def extract_features(
             vh_bar[:, 0],
             vh_tilde[:, 0],
             np.linalg.norm(points - points.mean(axis=0), axis=1),
-            ball_count(cloud, ball_radius).astype(np.float64),
+            np.zeros(len(points)),  # f11, set after the rescaling
             h,
             vh_bar[:, 1],
             vh_tilde[:, 1],
         ]
     )
+    np.ldexp(columns, exponent, out=columns)
+    columns[:, _COUNT_COLUMN] = ball_count(cloud, ball_radius)
     return FeatureMatrix(columns)
 
 

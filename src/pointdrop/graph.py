@@ -5,10 +5,9 @@ lower point index) and the edge set is symmetrized by union, so no node is
 isolated; only rows whose k-th-distance tie is not yet inside the query
 window widen it. On clouds of 8192 points or more the k-d tree queries run
 on every CPU scipy sees; each row's answer is computed whole by one thread,
-so the graph does not depend on the thread count. The points are first
-divided by the power of two just above their largest coordinate magnitude,
-which is exact, so no cloud scale underflows or overflows the squared
-distances. Edge weights follow a Gaussian kernel
+so the graph does not depend on the thread count. Lengths are taken in the
+cloud's power-of-two units (the scale rule of ``io``), so no cloud scale
+underflows or overflows the squared distances. Edge weights follow a Gaussian kernel
 
     W[i, j] = exp(-||p_i - p_j||^2 / sigma^2)
 
@@ -28,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from .io import PointCloud
+from .io import PointCloud, _unit_exponent
 
 # exp(-x) underflows to exactly 0 near x = 745; clamp so stored weights stay
 # positive and every degree is nonzero even for extreme outlier edges.
@@ -125,10 +124,8 @@ def build_knn_graph(cloud: PointCloud, k: int, sigma: float | None = None) -> Ne
     if sigma is not None and not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
 
-    # Dividing by the power of two just above the largest coordinate
-    # magnitude is exact and keeps squared distances from underflowing or
-    # overflowing; every length and width below is in these units.
-    exponent = int(np.frexp(np.abs(cloud.points).max())[1])
+    # Every length and width below is in the cloud's power-of-two units.
+    exponent = int(_unit_exponent(cloud.points))
     points = np.ldexp(cloud.points, -exponent)
 
     # Union symmetrization: the strict upper triangle of K + K^T lists each
@@ -146,7 +143,7 @@ def build_knn_graph(cloud: PointCloud, k: int, sigma: float | None = None) -> Ne
             # Every retained edge joins coincident points; any width gives
             # weight exp(0) = 1, so report a neutral one.
             sigma = 1.0
-        elif math.frexp(mean_length)[1] + exponent > 1024:
+        elif _unit_exponent(mean_length) + exponent > 1024:
             raise ValueError("mean edge length overflows: coordinates are too large in magnitude")
         else:
             sigma = math.ldexp(mean_length, exponent)

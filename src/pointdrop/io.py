@@ -17,6 +17,9 @@ call, which parses each token as Python's ``float`` does. Only when that
 call fails, or gives the wrong width or a non-finite value, does a second
 pass walk the lines; it uses the same conversion, builds no rows, and only
 finds the first bad line to name it in the error.
+
+Scale rule: every stage that squares a length works in the exact units of
+``_unit_exponent``, so no coordinate or target scale underflows or overflows.
 """
 
 from __future__ import annotations
@@ -272,13 +275,19 @@ def write_coefficients(coeffs: CoefficientSet) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _unit_exponent(x: np.ndarray, axis=None):
+    """The e with max |x| < 2^e <= 2 max |x| (0 for zeros); apply via ldexp, as 2^e may overflow."""
+    return np.frexp(np.abs(x).max(axis=axis))[1]
+
+
 def normalize_cloud(cloud: PointCloud) -> PointCloud:
     """Center a cloud on its centroid and scale the farthest point to unit norm.
 
-    Idempotent to within 1e-12. Raises on a degenerate cloud whose points
-    all coincide.
+    Idempotent to within 1e-12, and exactly invariant under power-of-two
+    rescaling. Raises on a degenerate cloud whose points all coincide.
     """
-    pts = cloud.points - cloud.points.mean(axis=0)
+    pts = np.ldexp(cloud.points, -_unit_exponent(cloud.points))
+    pts -= pts.mean(axis=0)
     max_norm = np.linalg.norm(pts, axis=1).max()
     if max_norm == 0.0:
         raise ValueError("degenerate cloud: all points coincide")

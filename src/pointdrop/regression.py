@@ -10,6 +10,7 @@ downstream score prediction.
 The fit takes plain arrays: ``select_top_targets`` turns one cloud's scores
 and features into its top-N rows (x, y), callers concatenate the per-cloud
 blocks, and ``fit_mlr`` fits the pooled (m, 14) design against the m targets.
+Targets are fitted in power-of-two units, by the scale rule of ``io``.
 """
 
 from __future__ import annotations
@@ -22,12 +23,16 @@ from scipy.special import stdtr
 
 from .attack import rank_top_n
 from .features import FEATURE_NAMES, FeatureMatrix
-from .io import NORMALIZED_ADVERSARIAL, NUM_FEATURES, CoefficientSet, ScoreVector, _readonly
+from .io import NORMALIZED_ADVERSARIAL, NUM_FEATURES, CoefficientSet, ScoreVector
+from .io import _readonly, _unit_exponent
 
 # Residual energy at or below this fraction of the target energy counts as an
 # exact interpolation. OLS inference degenerates there (s^2 = 0), so the guard
 # reports p = 0 for nonzero coefficients and p = 1 for zero ones.
 _ZERO_RESIDUAL_FRACTION = 1e-20
+
+# Rows per QR, below OpenBLAS's threading size: a 6400-row QR stalled ~150 ms on 2 vCPUs.
+_QR_BLOCK_ROWS = 512
 
 
 def _check_alpha(alpha: float) -> None:
@@ -100,8 +105,19 @@ def fit_mlr(x, y, alpha: float = 0.05) -> RegressionFit:
     if m <= q:
         raise ValueError(f"need more than {q} samples to fit, got {m}")
 
-    # Pivoted QR gives the fit, the rank check, and (X^T X)^-1 in one pass.
-    qmat, rmat, piv = scipy.linalg.qr(x, mode="economic", pivoting=True)
+    exponent = _unit_exponent(y)
+    y = np.ldexp(y, -exponent)
+
+    # R of [X | y] holds R_xx, r_xy and r_yy^2 = RSS. It is reduced as a
+    # tree: each pass stacks the R factors of row blocks, until one remains.
+    # A pivoted QR of R_xx then gives the fit, rank check and (X^T X)^-1.
+    r = np.column_stack([x, y])
+    while True:
+        starts = range(0, len(r), _QR_BLOCK_ROWS)
+        r = np.vstack([np.linalg.qr(r[s : s + _QR_BLOCK_ROWS], mode="r") for s in starts])
+        if len(r) == q + 1:
+            break
+    qmat, rmat, piv = scipy.linalg.qr(r[:q, :q], pivoting=True)
     rdiag = np.abs(np.diag(rmat))
     tol = rdiag[0] * max(m, q) * np.finfo(np.float64).eps if rdiag[0] > 0 else 0.0
     rank = int(np.sum(rdiag > tol))
@@ -109,29 +125,25 @@ def fit_mlr(x, y, alpha: float = 0.05) -> RegressionFit:
         dependent = ", ".join(FEATURE_NAMES[j] for j in sorted(piv[rank:]))
         raise ValueError(f"design matrix is rank-deficient; dependent columns: {dependent}")
 
-    coef = np.empty(q)
-    coef[piv] = scipy.linalg.solve_triangular(rmat, qmat.T @ y)
-    residual = y - x @ coef
-    rss = float(residual @ residual)
+    unpivot = np.argsort(piv)
+    coef = scipy.linalg.solve_triangular(rmat, qmat.T @ r[:q, q])[unpivot]
+    rss = float(r[q, q] ** 2)
     df = m - q
 
     # diag((X^T X)^-1) = row sums of squares of R^-1, unpermuted.
     rinv = scipy.linalg.solve_triangular(rmat, np.eye(q))
-    xtx_inv_diag = np.empty(q)
-    xtx_inv_diag[piv] = np.sum(rinv * rinv, axis=1)
+    xtx_inv_diag = np.sum(rinv * rinv, axis=1)[unpivot]
 
     if rss <= _ZERO_RESIDUAL_FRACTION * float(y @ y):
         # Exact interpolation: s^2 = 0 and the t statistics blow up. A
         # coefficient counts as nonzero only above the ambient rounding scale.
-        magnitude = np.abs(coef)
-        nonzero = magnitude > 1e-8 * magnitude.max() if magnitude.max() > 0 else magnitude > 0
+        nonzero = np.abs(coef) > 1e-8 * np.abs(coef).max()
         std_errors = np.zeros(q)
         t_stats = np.zeros(q)
         t_stats[nonzero] = np.sign(coef[nonzero]) * np.inf
         p_values = np.where(nonzero, 0.0, 1.0)
     else:
-        s2 = rss / df
-        std_errors = np.sqrt(s2 * xtx_inv_diag)
+        std_errors = np.sqrt(rss / df * xtx_inv_diag)  # s^2 = RSS / df
         t_stats = coef / std_errors
         p_values = 2.0 * stdtr(df, -np.abs(t_stats))
 
@@ -143,8 +155,8 @@ def fit_mlr(x, y, alpha: float = 0.05) -> RegressionFit:
         r_squared = 1.0 if rss <= _ZERO_RESIDUAL_FRACTION * float(y @ y) else 0.0
 
     return RegressionFit(
-        coefficients=coef,
-        std_errors=std_errors,
+        coefficients=np.ldexp(coef, exponent),
+        std_errors=np.ldexp(std_errors, exponent),
         t_stats=t_stats,
         p_values=p_values,
         r_squared=r_squared,

@@ -168,6 +168,18 @@ class TestFitCommand:
         assert code == 2
         assert "alpha must lie in (0, 1), got 1.5" in err
 
+    def test_failing_pair_named(self, capsys, tmp_path):
+        cloud_dir, scores_dir, _ = self.setup_corpus(tmp_path)
+        pair = f"{cloud_dir / 'b.xyz'}, {scores_dir / 'b.txt'}"
+        (scores_dir / "b.txt").write_text("0.5\n" * 10)
+        code, _, err = run(capsys, ["fit", str(cloud_dir), str(scores_dir), "--top-n", "18"])
+        assert code == 2
+        assert err == f"error: {pair}: score count mismatch: expected 41, found 10\n"
+        (cloud_dir / "b.xyz").write_text("1 2 3\n4 5\n")
+        code, _, err = run(capsys, ["fit", str(cloud_dir), str(scores_dir), "--top-n", "18"])
+        assert code == 2
+        assert err == f"error: {pair}: malformed line 2: expected 3 coordinates, got 2\n"
+
     def test_empty_cloud_dir(self, capsys, tmp_path):
         cloud_dir = tmp_path / "empty"
         cloud_dir.mkdir()

@@ -1,10 +1,14 @@
-"""Property test over argv: every command line exits 0 or 2, never with a traceback.
+"""Property tests of the CLI, in-process.
 
-``main`` either returns 0, or returns 2 after writing exactly one ``error:``
-line to stderr, or argparse rejects the command line with SystemExit(2).
-Flag values are drawn from valid ones and from edge values (zero, negative,
-infinite, NaN, huge, subnormal, empty, non-numeric and a 30-digit integer).
-Everything runs in-process on a 30-point cloud.
+Over argv: every command line exits 0 or 2, never with a traceback. ``main``
+either returns 0, or returns 2 after writing exactly one ``error:`` line to
+stderr, or argparse rejects the command line with SystemExit(2). Flag values
+are drawn from valid ones and from edge values (zero, negative, infinite,
+NaN, huge, subnormal, empty, non-numeric and a 30-digit integer), on a
+30-point cloud.
+
+Over coordinate scales: a 64-point cloud written at 2^e, for any e in
+[-1000, 1000], drops the same points under ``attack --normalize`` as at 2^0.
 """
 
 import contextlib
@@ -18,7 +22,7 @@ from hypothesis import strategies as st
 
 from pointdrop import PointCloud, ScoreVector, get_preset, write_coefficients, write_scores
 from pointdrop.cli import main
-from pointdrop.io import RAW_SALIENCY, write_xyz
+from pointdrop.io import RAW_SALIENCY, parse_xyz, write_xyz
 
 EDGE_VALUES = ["0", "-1", "inf", "nan", "1e308", "1e-320", "", "x", "1" * 30]
 
@@ -121,3 +125,46 @@ def test_exit_code_contract(workdir, argv):
     if code == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())
+
+
+def run_main(argv):
+    """``main(argv)``'s exit code and its stdout and stderr text."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+SCALE_POINTS = np.random.default_rng(1).normal(size=(64, 3))
+
+
+@pytest.fixture(scope="module")
+def scale_run(tmp_path_factory):
+    """A function: e -> the dropped indices of ``attack --normalize`` on the fixture at 2^e."""
+    path = tmp_path_factory.mktemp("scales") / "cloud.xyz"
+
+    def dropped(e):
+        scaled = np.ldexp(SCALE_POINTS, e)
+        assert np.array_equal(np.ldexp(scaled, -e), SCALE_POINTS)  # exact at 2^e
+        path.write_text(write_xyz(PointCloud(scaled)))
+        assert np.array_equal(parse_xyz(path.read_text()).points, scaled)  # and round-trips
+        argv = ["attack", str(path), "--normalize", "--preset", "avg-N100", "--top-n", "10"]
+        code, _, report = run_main(argv)
+        assert code == 0, (e, report)
+        lines = report.splitlines()
+        rows = lines[lines.index("dropped index, predicted score") + 1 :]
+        return [int(row.split(",")[0]) for row in rows]
+
+    return dropped
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(e=st.integers(-1000, 1000))
+# Squared norms in the file's own units underflow at 2^-570 (a false "all
+# points coincide") and overflow at 2^540 (normalizing to the all-zero cloud).
+@example(e=-570)
+@example(e=540)
+def test_drop_set_at_any_power_of_two_scale(scale_run, e):
+    unit = scale_run(0)
+    assert len(unit) == 10
+    assert scale_run(e) == unit

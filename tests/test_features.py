@@ -412,6 +412,32 @@ class TestExtract:
             FeatureMatrix(bad)
 
 
+class TestPowerOfTwoScales:
+    # Every length is taken in the cloud's power-of-two units, so a cloud
+    # and radius scaled by 2^e give the length columns scaled by 2^e bit for
+    # bit, at scales where squares in the cloud's own units underflow or
+    # overflow.
+    @pytest.mark.parametrize("e", [-1000, -570, 540, 1000])
+    def test_features_scale_exactly(self, e):
+        pts = np.random.default_rng(40).normal(size=(1024, 3))
+        scaled = np.ldexp(pts, e)
+        assert np.array_equal(np.ldexp(scaled, -e), pts)  # the scaled cloud is exact
+        unit = extract_features(PointCloud(pts), ball_radius=0.5).values
+        got = extract_features(PointCloud(scaled), ball_radius=np.ldexp(0.5, e)).values
+        lengths = [c for c in range(14) if c != 10]
+        np.testing.assert_array_equal(got[:, lengths], np.ldexp(unit[:, lengths], e))
+        np.testing.assert_array_equal(got[:, 10], unit[:, 10])
+        assert unit[:, 10].min() < unit[:, 10].max()  # the counts vary
+
+    def test_ball_count_at_large_scale(self):
+        pts = np.random.default_rng(41).normal(size=(1024, 3))
+        unit = ball_count(PointCloud(pts), 0.5)
+        np.testing.assert_array_equal(
+            ball_count(PointCloud(np.ldexp(pts, 540)), np.ldexp(0.5, 540)), unit
+        )
+        assert 1 < np.median(unit) < 1024
+
+
 class TestCsv:
     def test_header_and_rows(self):
         fm = extract_features(random_cloud(23, n=9), k=3)

@@ -226,3 +226,12 @@ class TestNormalizeCloud:
     def test_degenerate(self):
         with pytest.raises(ValueError, match="degenerate"):
             normalize_cloud(PointCloud([[5, 5, 5], [5, 5, 5]]))
+
+    @pytest.mark.parametrize("e", [-1000, -570, 540, 1000])
+    def test_power_of_two_scale_invariant(self, e):
+        # The squares are taken in power-of-two units, so no scale underflows
+        # to a "degenerate" cloud or overflows to the all-zero one.
+        pts = np.random.default_rng(13).normal(2.0, 3.0, (1024, 3))
+        unit = normalize_cloud(PointCloud(pts))
+        scaled = normalize_cloud(PointCloud(np.ldexp(pts, e)))
+        np.testing.assert_array_equal(scaled.points, unit.points)

@@ -75,6 +75,15 @@ class TestFitMlr:
         np.testing.assert_allclose(scaled.t_stats, base.t_stats, rtol=1e-9)
         np.testing.assert_allclose(scaled.p_values, base.p_values, atol=1e-9)
         np.testing.assert_array_equal(scaled.significant, base.significant)
+        # The targets are fitted in power-of-two units: at 2^-560 (2^520) y @ y
+        # and the RSS would underflow (overflow), yet only the coefficients
+        # and standard errors move, exactly.
+        for e in (-560, 520):
+            fit = fit_mlr(x, np.ldexp(y, e))
+            np.testing.assert_array_equal(fit.coefficients, np.ldexp(base.coefficients, e))
+            np.testing.assert_array_equal(fit.std_errors, np.ldexp(base.std_errors, e))
+            np.testing.assert_array_equal(fit.p_values, base.p_values)
+            assert fit.r_squared == base.r_squared
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(9)
