@@ -44,13 +44,14 @@ from scipy.sparse.linalg import splu
 from scipy.spatial import cKDTree
 
 from .graph import NeighborhoodGraph, _tree_workers, build_knn_graph
-from .io import NUM_FEATURES, PointCloud, _format_rows, _readonly, _unit_exponent
+from .io import NUM_FEATURES, PointCloud, _format_rows, _readonly, _to_units
 
 FEATURE_NAMES = tuple(f"f{j}" for j in range(1, NUM_FEATURES + 1))
 
 # Column positions (0-based) of the sign- and integrality-constrained features.
 _NONNEGATIVE_COLUMNS = (0, 7, 9, 11, 12)  # f1, f8, f10, f12, f13
 _COUNT_COLUMN = 10  # f11
+_LENGTH_COLUMNS = np.arange(NUM_FEATURES) != _COUNT_COLUMN
 
 # I + gamma L has condition number at most 1 + 2 gamma d_max, with or
 # without Jacobi scaling. Up to this bound on gamma * d_max block CG beat
@@ -134,8 +135,7 @@ def lpf_solve(graph: NeighborhoodGraph, cloud: PointCloud, gamma: float) -> np.n
     gamma_dmax = gamma * float(graph.degrees.max())
     if not (gamma > 0 and 1.0 + 2.0 * gamma_dmax < math.inf):
         raise ValueError(f"gamma must be positive, with 2 gamma d_max finite, got {gamma}")
-    exponents = _unit_exponent(cloud.points, axis=0)
-    b = np.ldexp(cloud.points, -exponents)
+    b, exponents = _to_units(cloud.points, axis=0)
     system = sp.identity(graph.n, format="csr") + gamma * graph.laplacian
     qstar = None
     if gamma_dmax <= _PCG_MAX_GAMMA_DEGREE:
@@ -170,8 +170,7 @@ def ball_count(cloud: PointCloud, r: float) -> np.ndarray:
     """Points within the closed ball of radius r around each point, self included (f11)."""
     if not r > 0:
         raise ValueError(f"ball radius must be positive, got {r}")
-    exponent = _unit_exponent(cloud.points)
-    points = np.ldexp(cloud.points, -exponent)
+    points, exponent = _to_units(cloud.points)
     with np.errstate(over="ignore"):  # a radius of inf units counts every point, as it should
         radius = np.ldexp(r, -exponent)
     counts = cKDTree(points).query_ball_point(
@@ -202,8 +201,7 @@ def extract_features(
         Radius of the closed counting ball.
     """
     graph = build_knn_graph(cloud, k=k, sigma=sigma)
-    exponent = _unit_exponent(cloud.points)
-    points = np.ldexp(cloud.points, -exponent)
+    points, exponent = _to_units(cloud.points)
     transition, laplacian = graph.transition, graph.laplacian
     pbar = transition @ points
     ptilde = laplacian @ points
@@ -220,14 +218,13 @@ def extract_features(
             vh_bar[:, 0],
             vh_tilde[:, 0],
             np.linalg.norm(points - points.mean(axis=0), axis=1),
-            np.zeros(len(points)),  # f11, set after the rescaling
+            ball_count(cloud, ball_radius),
             h,
             vh_bar[:, 1],
             vh_tilde[:, 1],
         ]
     )
-    np.ldexp(columns, exponent, out=columns)
-    columns[:, _COUNT_COLUMN] = ball_count(cloud, ball_radius)
+    np.ldexp(columns, exponent, out=columns, where=_LENGTH_COLUMNS)
     return FeatureMatrix(columns)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from .io import PointCloud, _unit_exponent
+from .io import PointCloud, _to_units
 
 # exp(-x) underflows to exactly 0 near x = 745; clamp so stored weights stay
 # positive and every degree is nonzero even for extreme outlier edges.
@@ -125,8 +125,8 @@ def build_knn_graph(cloud: PointCloud, k: int, sigma: float | None = None) -> Ne
         raise ValueError(f"sigma must be positive, got {sigma}")
 
     # Every length and width below is in the cloud's power-of-two units.
-    exponent = int(_unit_exponent(cloud.points))
-    points = np.ldexp(cloud.points, -exponent)
+    points, exponent = _to_units(cloud.points)
+    exponent = int(exponent)  # math.ldexp takes only a Python int
 
     # Union symmetrization: the strict upper triangle of K + K^T lists each
     # undirected pair once as (lo, hi), sorted by lo, then hi.
@@ -143,7 +143,7 @@ def build_knn_graph(cloud: PointCloud, k: int, sigma: float | None = None) -> Ne
             # Every retained edge joins coincident points; any width gives
             # weight exp(0) = 1, so report a neutral one.
             sigma = 1.0
-        elif _unit_exponent(mean_length) + exponent > 1024:
+        elif _to_units(mean_length)[1] + exponent > 1024:
             raise ValueError("mean edge length overflows: coordinates are too large in magnitude")
         else:
             sigma = math.ldexp(mean_length, exponent)

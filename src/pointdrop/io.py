@@ -19,7 +19,8 @@ pass walk the lines; it uses the same conversion, builds no rows, and only
 finds the first bad line to name it in the error.
 
 Scale rule: every stage that squares a length works in the exact units of
-``_unit_exponent``, so no coordinate or target scale underflows or overflows.
+``_to_units``, so no coordinate, feature or target scale underflows or
+overflows.
 """
 
 from __future__ import annotations
@@ -275,9 +276,14 @@ def write_coefficients(coeffs: CoefficientSet) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _unit_exponent(x: np.ndarray, axis=None):
-    """The e with max |x| < 2^e <= 2 max |x| (0 for zeros); apply via ldexp, as 2^e may overflow."""
-    return np.frexp(np.abs(x).max(axis=axis))[1]
+def _to_units(x: np.ndarray, axis=None, out=None):
+    """(x / 2^e, e) with max |x| < 2^e <= 2 max |x| (e = 0 for zeros), exact.
+
+    The scaled array goes to ``out`` when given (``out=x`` scales in place).
+    Undo with ``np.ldexp(., e)``; 2^e itself is never formed, as it may overflow.
+    """
+    e = np.frexp(np.maximum(np.max(x, axis=axis), -np.min(x, axis=axis)))[1]  # max |x|, no copy
+    return np.ldexp(x, -e, out=out), e
 
 
 def normalize_cloud(cloud: PointCloud) -> PointCloud:
@@ -286,7 +292,7 @@ def normalize_cloud(cloud: PointCloud) -> PointCloud:
     Idempotent to within 1e-12, and exactly invariant under power-of-two
     rescaling. Raises on a degenerate cloud whose points all coincide.
     """
-    pts = np.ldexp(cloud.points, -_unit_exponent(cloud.points))
+    pts = _to_units(cloud.points)[0]
     pts -= pts.mean(axis=0)
     max_norm = np.linalg.norm(pts, axis=1).max()
     if max_norm == 0.0:

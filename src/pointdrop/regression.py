@@ -10,7 +10,8 @@ downstream score prediction.
 The fit takes plain arrays: ``select_top_targets`` turns one cloud's scores
 and features into its top-N rows (x, y), callers concatenate the per-cloud
 blocks, and ``fit_mlr`` fits the pooled (m, 14) design against the m targets.
-Targets are fitted in power-of-two units, by the scale rule of ``io``.
+Each design column and the targets are fitted in their own power-of-two
+units, by the scale rule of ``io``.
 """
 
 from __future__ import annotations
@@ -24,15 +25,12 @@ from scipy.special import stdtr
 from .attack import rank_top_n
 from .features import FEATURE_NAMES, FeatureMatrix
 from .io import NORMALIZED_ADVERSARIAL, NUM_FEATURES, CoefficientSet, ScoreVector
-from .io import _readonly, _unit_exponent
+from .io import _readonly, _to_units
 
 # Residual energy at or below this fraction of the target energy counts as an
 # exact interpolation. OLS inference degenerates there (s^2 = 0), so the guard
 # reports p = 0 for nonzero coefficients and p = 1 for zero ones.
 _ZERO_RESIDUAL_FRACTION = 1e-20
-
-# Rows per QR, below OpenBLAS's threading size: a 6400-row QR stalled ~150 ms on 2 vCPUs.
-_QR_BLOCK_ROWS = 512
 
 
 def _check_alpha(alpha: float) -> None:
@@ -105,18 +103,15 @@ def fit_mlr(x, y, alpha: float = 0.05) -> RegressionFit:
     if m <= q:
         raise ValueError(f"need more than {q} samples to fit, got {m}")
 
-    exponent = _unit_exponent(y)
-    y = np.ldexp(y, -exponent)
-
-    # R of [X | y] holds R_xx, r_xy and r_yy^2 = RSS. It is reduced as a
-    # tree: each pass stacks the R factors of row blocks, until one remains.
-    # A pivoted QR of R_xx then gives the fit, rank check and (X^T X)^-1.
-    r = np.column_stack([x, y])
-    while True:
-        starts = range(0, len(r), _QR_BLOCK_ROWS)
-        r = np.vstack([np.linalg.qr(r[s : s + _QR_BLOCK_ROWS], mode="r") for s in starts])
-        if len(r) == q + 1:
-            break
+    # [X | y] in Fortran order, so the QR factors it in place, with each column
+    # in its own units. Its R holds R_xx, r_xy and r_yy^2 = RSS; a pivoted QR
+    # of R_xx gives the fit, the rank check and (X^T X)^-1.
+    xy = np.empty((m, q + 1), order="F")
+    xy[:, :q], xy[:, q] = x, y
+    exponents = _to_units(xy, axis=0, out=xy)[1]
+    y = xy[:, q].copy()
+    # Mode "raw" returns R as 15 x 15; mode "r" would copy it out m rows tall.
+    r = scipy.linalg.qr(xy, mode="raw", overwrite_a=True, check_finite=False)[1]
     qmat, rmat, piv = scipy.linalg.qr(r[:q, :q], pivoting=True)
     rdiag = np.abs(np.diag(rmat))
     tol = rdiag[0] * max(m, q) * np.finfo(np.float64).eps if rdiag[0] > 0 else 0.0
@@ -155,8 +150,8 @@ def fit_mlr(x, y, alpha: float = 0.05) -> RegressionFit:
         r_squared = 1.0 if rss <= _ZERO_RESIDUAL_FRACTION * float(y @ y) else 0.0
 
     return RegressionFit(
-        coefficients=np.ldexp(coef, exponent),
-        std_errors=np.ldexp(std_errors, exponent),
+        coefficients=np.ldexp(coef, exponents[q] - exponents[:q]),
+        std_errors=np.ldexp(std_errors, exponents[q] - exponents[:q]),
         t_stats=t_stats,
         p_values=p_values,
         r_squared=r_squared,

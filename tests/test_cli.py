@@ -180,6 +180,39 @@ class TestFitCommand:
         assert code == 2
         assert err == f"error: {pair}: malformed line 2: expected 3 coordinates, got 2\n"
 
+    def test_extreme_scale_without_normalize(self, capsys, tmp_path):
+        # Thirteen features are lengths: a corpus and ball radius at 2^e scale
+        # their coefficients by 2^-e exactly and leave f11's coefficient and
+        # every p-value unchanged.
+        rng = np.random.default_rng(12)
+        clouds = [rng.normal(size=(64, 3)) for _ in range(3)]
+        scores = [np.linalg.norm(c, axis=1) + rng.normal(0.0, 0.1, 64) for c in clouds]
+        lengths = np.arange(14) != 10
+        fits = {}
+        for e in (0, 540, -560):
+            cloud_dir, scores_dir = tmp_path / f"clouds{e}", tmp_path / f"scores{e}"
+            cloud_dir.mkdir()
+            scores_dir.mkdir()
+            for i, (pts, z) in enumerate(zip(clouds, scores)):
+                (cloud_dir / f"{i}.xyz").write_text(write_xyz(PointCloud(np.ldexp(pts, e))))
+                (scores_dir / f"{i}.txt").write_text(write_scores(ScoreVector(z, RAW_SALIENCY)))
+            radius = repr(float(np.ldexp(0.5, e)))
+            code, out, err = run(
+                capsys,
+                ["fit", str(cloud_dir), str(scores_dir), "--top-n", "50", "--ball-radius", radius],
+            )
+            assert code == 0, err
+            p_column = [line.split()[4] for line in err.splitlines()[2:16]]
+            fits[e] = load_coefficients(out), p_column
+        unit, unit_p = fits[0]
+        assert unit.significant.any()
+        for e in (540, -560):
+            coeffs, p_column = fits[e]
+            expected = np.ldexp(unit.coefficients, np.where(lengths, -e, 0))
+            np.testing.assert_array_equal(coeffs.coefficients, expected)
+            np.testing.assert_array_equal(coeffs.significant, unit.significant)
+            assert p_column == unit_p
+
     def test_empty_cloud_dir(self, capsys, tmp_path):
         cloud_dir = tmp_path / "empty"
         cloud_dir.mkdir()

@@ -84,6 +84,14 @@ class TestFitMlr:
             np.testing.assert_array_equal(fit.std_errors, np.ldexp(base.std_errors, e))
             np.testing.assert_array_equal(fit.p_values, base.p_values)
             assert fit.r_squared == base.r_squared
+        # So is each design column: at 2^560 (2^-560) diag((X^T X)^-1) would
+        # underflow (overflow), giving p = 0 (p = 1) for every term.
+        for e in (560, -560, np.arange(14) * 80 - 560):
+            fit = fit_mlr(np.ldexp(x, e), y)
+            np.testing.assert_array_equal(fit.coefficients, np.ldexp(base.coefficients, -e))
+            np.testing.assert_array_equal(fit.std_errors, np.ldexp(base.std_errors, -e))
+            np.testing.assert_array_equal(fit.p_values, base.p_values)
+            assert fit.r_squared == base.r_squared
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(9)
