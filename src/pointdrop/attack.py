@@ -23,6 +23,7 @@ from .io import (
     PointCloud,
     ScoreVector,
 )
+from .io import _readonly, _to_units
 
 _MASK64 = (1 << 64) - 1
 
@@ -42,7 +43,7 @@ class AttackResult:
     scores: ScoreVector | None
 
     def __post_init__(self):
-        idx = np.array(self.dropped_indices, dtype=np.int64)
+        idx = _readonly(self.dropped_indices, np.int64)
         if idx.ndim != 1:
             raise ValueError(f"dropped indices must be a 1-d vector, got shape {idx.shape}")
         n_total = self.retained_cloud.n + idx.size
@@ -58,7 +59,6 @@ class AttackResult:
             dv, di = np.diff(vals), np.diff(idx)
             if not np.all((dv < 0) | ((dv == 0) & (di > 0))):
                 raise ValueError("dropped indices are not in descending score order")
-        idx.setflags(write=False)
         object.__setattr__(self, "dropped_indices", idx)
 
     @property
@@ -79,11 +79,12 @@ def normalize_scores(raw: ScoreVector) -> ScoreVector:
     """Min-max normalize raw saliency to [0, 1]; all-equal input maps to zeros."""
     if raw.kind != RAW_SALIENCY:
         raise ValueError(f"expected raw-saliency scores, got kind {raw.kind!r}")
-    lo, hi = raw.values.min(), raw.values.max()
+    values = _to_units(raw.values)[0]  # in units, no difference of scores overflows
+    lo, hi = values.min(), values.max()
     if hi == lo:
         z = np.zeros(raw.n)
     else:
-        z = (raw.values - lo) / (hi - lo)
+        z = (values - lo) / (hi - lo)
     return ScoreVector(z, NORMALIZED_ADVERSARIAL)
 
 

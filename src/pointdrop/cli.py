@@ -47,16 +47,18 @@ from .presets import get_preset, preset_names
 from .regression import _check_alpha, fit_mlr, fit_report, select_top_targets
 
 
-def _sigma_value(text: str):
-    if text == "auto":
-        return None
+def _positive(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"sigma must be 'auto' or a number, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
     if not value > 0:
-        raise argparse.ArgumentTypeError(f"sigma must be positive, got {text}")
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
+
+
+def _sigma_value(text: str):
+    return None if text == "auto" else _positive(text)
 
 
 def _feature_options(args: argparse.Namespace) -> dict:
@@ -194,10 +196,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="Gaussian kernel width, or 'auto' for mean edge length (default auto)",
     )
     graph_opts.add_argument(
-        "--gamma", type=float, default=0.5, help="low-pass regularization weight (default 0.5)"
+        "--gamma", type=_positive, default=0.5, help="low-pass regularization weight (default 0.5)"
     )
     graph_opts.add_argument(
-        "--ball-radius", type=float, default=0.1, help="counting-ball radius (default 0.1)"
+        "--ball-radius", type=_positive, default=0.1, help="counting-ball radius (default 0.1)"
     )
     graph_opts.add_argument(
         "--normalize",

@@ -14,7 +14,8 @@ underflows or overflows the squared distances. Edge weights follow a Gaussian ke
 which keeps weights in (0, 1]. The graph exposes the degree vector D and,
 built on first use, the two operators the features apply to whole signal
 blocks: the combinatorial Laplacian L = D - W (positive semi-definite) and
-the row-stochastic transition matrix A = D^-1 W.
+the row-stochastic transition matrix A = D^-1 W. The graph is a frozen value:
+no field can be rebound, and D is stored read-only.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from .io import PointCloud, _to_units
+from .io import PointCloud, _readonly, _to_units
 
 # exp(-x) underflows to exactly 0 near x = 745; clamp so stored weights stay
 # positive and every degree is nonzero even for extreme outlier edges.
@@ -45,16 +46,11 @@ def _tree_workers(n: int) -> int:
     return -1 if n >= _THREADED_QUERY_MIN_POINTS else 1
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class NeighborhoodGraph:
-    """Symmetrized kNN graph: sparse weights, degrees, and derived operators.
-
-    Immutable by convention after construction; the derived Laplacian and
-    transition matrices are cached on first use.
-    """
+    """Symmetrized kNN graph: sparse weights, degrees, and operators cached on first use."""
 
     n: int
-    k: int
     sigma: float
     adjacency: sp.csr_matrix = field(repr=False)
     degrees: np.ndarray = field(repr=False)
@@ -158,5 +154,5 @@ def build_knn_graph(cloud: PointCloud, k: int, sigma: float | None = None) -> Ne
         (np.concatenate([weights, weights]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
         shape=(n, n),
     )
-    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
-    return NeighborhoodGraph(n=n, k=k, sigma=sigma, adjacency=adjacency, degrees=degrees)
+    degrees = _readonly(adjacency.sum(axis=1)).ravel()
+    return NeighborhoodGraph(n=n, sigma=sigma, adjacency=adjacency, degrees=degrees)

@@ -39,8 +39,9 @@ PREDICTED = "predicted"
 SCORE_KINDS = (RAW_SALIENCY, NORMALIZED_ADVERSARIAL, PREDICTED)
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64)
+def _readonly(arr: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """A read-only copy of ``arr`` as ``dtype``: how every result type stores an array."""
+    out = np.array(arr, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -119,9 +120,7 @@ class CoefficientSet:
             names = ", ".join(f"c{j + 1}" for j in bad)
             raise ValueError(f"insignificant coefficients must be zero: {names}")
         object.__setattr__(self, "coefficients", _readonly(coeffs))
-        sig = sig.copy()
-        sig.setflags(write=False)
-        object.__setattr__(self, "significant", sig)
+        object.__setattr__(self, "significant", _readonly(sig, bool))
 
 
 def _data_lines(text: str):
@@ -250,8 +249,6 @@ def load_coefficients(text: str) -> CoefficientSet:
         if idx in seen:
             raise ValueError(f"duplicate coefficient index {idx}")
         seen.add(idx)
-        if not significant and value != 0.0:
-            raise ValueError(f"insignificant coefficient c{idx} must be zero, got {value}")
         values[idx - 1] = value
         flags[idx - 1] = significant
     missing = sorted(set(range(1, NUM_FEATURES + 1)) - seen)
@@ -293,8 +290,8 @@ def normalize_cloud(cloud: PointCloud) -> PointCloud:
     rescaling. Raises on a degenerate cloud whose points all coincide.
     """
     pts = _to_units(cloud.points)[0]
-    pts -= pts.mean(axis=0)
-    max_norm = np.linalg.norm(pts, axis=1).max()
-    if max_norm == 0.0:
+    if (pts == pts[0]).all():  # exact: a rounded mean would leave a scalable offset
         raise ValueError("degenerate cloud: all points coincide")
-    return PointCloud(pts / max_norm)
+    pts -= pts.mean(axis=0)
+    _to_units(pts, out=pts)  # offsets far below the coordinates square without underflow
+    return PointCloud(pts / np.linalg.norm(pts, axis=1).max())

@@ -1,5 +1,7 @@
 """Score normalization, ranking, drop attacks, baselines, and overlap."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from pointdrop import (
     CoefficientSet,
     PointCloud,
     ScoreVector,
+    build_knn_graph,
     drop_attack,
     extract_features,
     fit_mlr,
@@ -50,6 +53,17 @@ class TestNormalizeScores:
         z = normalize_scores(raw)
         np.testing.assert_array_equal(np.argsort(raw.values), np.argsort(z.values))
         assert np.argmax(raw.values) == np.argmax(z.values)
+
+    def test_extreme_finite_scores(self):
+        # hi - lo would overflow in raw units; the scores' power-of-two units
+        # keep every difference finite and leave the ratios unchanged.
+        z = normalize_scores(ScoreVector([1e308, -1e308, 0.0, 5e307], RAW_SALIENCY))
+        np.testing.assert_array_equal(z.values, [1.0, 0.0, 0.5, 0.75])
+        raw = np.random.default_rng(1).normal(size=50)
+        unit = normalize_scores(ScoreVector(raw, RAW_SALIENCY)).values
+        for e in (-1000, 1000):
+            scaled = normalize_scores(ScoreVector(np.ldexp(raw, e), RAW_SALIENCY))
+            np.testing.assert_array_equal(scaled.values, unit)
 
     def test_requires_raw_kind(self):
         z = ScoreVector([0.0, 0.5], NORMALIZED_ADVERSARIAL)
@@ -296,6 +310,8 @@ class TestAttackResult:
         retained = PointCloud(cloud.points[:8])
         with pytest.raises(ValueError, match="range"):
             AttackResult(np.array([3, 99]), retained, None)
+        with pytest.raises(ValueError, match="1-d vector"):
+            AttackResult(np.array([[3, 4]]), retained, None)
 
     def test_score_order_enforced(self):
         cloud = random_cloud(24, n=6)
@@ -303,6 +319,8 @@ class TestAttackResult:
         scores = ScoreVector([0.1, 0.9, 0.5, 0.2, 0.8, 0.0], RAW_SALIENCY)
         with pytest.raises(ValueError, match="descending"):
             AttackResult(np.array([4, 1]), retained, scores)
+        with pytest.raises(ValueError, match="score vector length"):
+            AttackResult(np.array([1]), retained, scores)
         ok = AttackResult(np.array([1, 4]), retained, scores)
         assert ok.n_total == 6
 
@@ -321,3 +339,30 @@ def test_result_types_compare_by_identity():
         a, b = make(), make()
         assert a == a and a != b
         assert len({a, b}) == 2
+
+
+def test_result_types_are_frozen_values():
+    # Every result type rejects rebinding a field and stores its arrays read-only,
+    # so derived values (a graph's operators, a result's counts) cannot go stale.
+    cloud = random_cloud(26, n=30)
+    rng = np.random.default_rng(26)
+    x = rng.normal(size=(40, 14))
+    values = [
+        cloud,
+        ScoreVector(rng.normal(size=30), RAW_SALIENCY),
+        coeff_set({1: 1.0}),
+        extract_features(cloud, k=4),
+        fit_mlr(x, x @ np.arange(14.0) + rng.normal(size=40)),
+        drop_attack(cloud, coeff_set({1: 1.0}), 3, k=4),
+        build_knn_graph(cloud, 4),
+    ]
+    for value in values:
+        for field in dataclasses.fields(value):
+            current = getattr(value, field.name)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, field.name, current)
+            if isinstance(current, np.ndarray):
+                assert not current.flags.writeable, (type(value).__name__, field.name)
+    graph = values[-1]
+    assert [f.name for f in dataclasses.fields(graph)] == ["n", "sigma", "adjacency", "degrees"]
+    np.testing.assert_allclose(graph.transition @ np.ones(30), 1.0)  # caches on a frozen graph

@@ -22,6 +22,7 @@ from pointdrop import (
     write_scores,
     write_xyz,
 )
+from pointdrop import graph as graph_module
 from pointdrop.cli import main
 from pointdrop.io import RAW_SALIENCY
 
@@ -167,6 +168,16 @@ class TestFitCommand:
         code, _, err = run(capsys, ["fit", str(cloud_dir), str(scores_dir), "--alpha", "1.5"])
         assert code == 2
         assert "alpha must lie in (0, 1), got 1.5" in err
+
+    def test_bad_gamma_or_radius_rejected_before_reading(self, capsys, tmp_path):
+        # Usage errors, like a bad --sigma: argparse exits before any pair is read.
+        cloud_dir, scores_dir, _ = self.setup_corpus(tmp_path)
+        (cloud_dir / "a.xyz").write_text("1 2 3\n4 5\n")
+        for flag, value in (("--gamma", "-1"), ("--ball-radius", "0")):
+            with pytest.raises(SystemExit) as exc:
+                main(["fit", str(cloud_dir), str(scores_dir), flag, value])
+            assert exc.value.code == 2
+            assert f"argument {flag}: must be positive, got {value}\n" in capsys.readouterr().err
 
     def test_failing_pair_named(self, capsys, tmp_path):
         cloud_dir, scores_dir, _ = self.setup_corpus(tmp_path)
@@ -361,6 +372,9 @@ class TestOverlapCommand:
         for line in lines[1:]:
             pct = float(line.split(",")[1])
             assert 0.0 <= pct <= 100.0
+        code, _, err = run(capsys, ["overlap", str(a), str(b), "--top-n", " , "])
+        assert code == 2
+        assert err == "error: no top-N values given\n"
 
     def test_known_half_overlap(self, capsys, tmp_path):
         a = tmp_path / "a.txt"
@@ -408,6 +422,53 @@ class TestSigmaFlag:
         path.write_text(write_xyz(random_cloud(41, n=10)))
         with pytest.raises(SystemExit):
             run(capsys, ["features", str(path), "--sigma", "-1"])
+
+
+def test_output_independent_of_process_and_threads(tmp_path):
+    # Fresh interpreters give the same bytes whatever the CPU set, the BLAS
+    # thread count or the hash seed. The cloud is large enough that the k-d
+    # tree queries run threaded.
+    env = {**os.environ, "PYTHONPATH": str(Path(pointdrop.__file__).parents[1])}
+
+    def cli(argv, preexec_fn=None, **extra_env):
+        done = subprocess.run(
+            [sys.executable, "-m", "pointdrop.cli", *argv],
+            env={**env, **extra_env},
+            preexec_fn=preexec_fn,
+            capture_output=True,
+            check=True,
+            timeout=120,
+        )
+        return done.stdout, done.stderr
+
+    n = 9000
+    assert n >= graph_module._THREADED_QUERY_MIN_POINTS
+    cloud = tmp_path / "large.xyz"
+    cloud.write_text(write_xyz(random_cloud(50, n=n)))
+    if hasattr(os, "sched_setaffinity"):
+        one_cpu = {min(os.sched_getaffinity(0))}
+        pinned = cli(["features", str(cloud)], lambda: os.sched_setaffinity(0, one_cpu))
+        assert pinned == cli(["features", str(cloud)])
+
+    rng = np.random.default_rng(51)
+    cloud_dir, scores_dir = tmp_path / "clouds", tmp_path / "scores"
+    cloud_dir.mkdir()
+    scores_dir.mkdir()
+    for i in range(4):
+        (cloud_dir / f"{i}.xyz").write_text(write_xyz(random_cloud(52 + i, n=64)))
+        (scores_dir / f"{i}.txt").write_text(
+            write_scores(ScoreVector(rng.normal(size=64), RAW_SALIENCY))
+        )
+    fits = [
+        cli(
+            ["fit", str(cloud_dir), str(scores_dir), "--top-n", "30"],
+            OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads,
+            PYTHONHASHSEED=seed,
+        )
+        for threads, seed in (("1", "1"), ("2", "2"))
+    ]
+    assert fits[0] == fits[1]
 
 
 def test_public_surface():

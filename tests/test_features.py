@@ -410,6 +410,8 @@ class TestExtract:
         bad[0, 5] = np.inf
         with pytest.raises(ValueError, match="finite"):
             FeatureMatrix(bad)
+        with pytest.raises(ValueError, match=r"must be n x 14, got shape \(10, 13\)"):
+            FeatureMatrix(good[:, :13])
 
 
 class TestPowerOfTwoScales:

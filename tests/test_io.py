@@ -83,6 +83,8 @@ class TestPointCloud:
     def test_shape_enforced(self):
         with pytest.raises(ValueError):
             PointCloud([[0, 0], [1, 1]])
+        with pytest.raises(ValueError, match="at least one point"):
+            PointCloud(np.empty((0, 3)))
 
     def test_immutable(self):
         cloud = PointCloud([[0, 0, 0], [1, 1, 1]])
@@ -103,6 +105,8 @@ class TestScores:
     def test_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             parse_scores("nan\n1\n", 2)
+        with pytest.raises(ValueError, match="scores contain non-finite values"):
+            ScoreVector([1.0, np.inf], RAW_SALIENCY)
 
     def test_count_check_optional(self):
         sv = parse_scores("# header\n3\n\n1\n")
@@ -120,6 +124,10 @@ class TestScores:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             ScoreVector([1.0], "mystery")
+
+    def test_shape_enforced(self):
+        with pytest.raises(ValueError, match="1-d vector"):
+            ScoreVector([[1.0, 2.0]], RAW_SALIENCY)
 
 
 class TestCoefficients:
@@ -140,7 +148,7 @@ class TestCoefficients:
     def test_insignificant_nonzero_rejected(self):
         doc = self._doc(np.zeros(14), np.zeros(14, dtype=bool))
         bad = doc.replace('"value": 0.0', '"value": 0.3', 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="insignificant coefficients must be zero: c1$"):
             load_coefficients(bad)
 
     def test_significant_zero_accepted(self):
@@ -155,11 +163,19 @@ class TestCoefficients:
         truncated = doc.replace('"index": 14,', '"index": 13,')
         with pytest.raises(ValueError, match="missing|once|duplicate"):
             load_coefficients(truncated)
+        entries = json.loads(doc)
+        del entries["coefficients"][13]
+        with pytest.raises(ValueError, match=r"missing coefficient indices: \[14\]"):
+            load_coefficients(json.dumps(entries))
+        with pytest.raises(ValueError, match=r"coefficient index 15 outside 1\.\.14"):
+            load_coefficients(doc.replace('"index": 14,', '"index": 15,'))
 
     @pytest.mark.parametrize("entries", ["5", "null"])
     def test_coefficients_must_be_a_list(self, entries):
         with pytest.raises(ValueError, match="'coefficients' list"):
             load_coefficients(f'{{"coefficients": {entries}}}')
+        with pytest.raises(ValueError, match="bad coefficient entry"):
+            load_coefficients(f'{{"coefficients": [{entries}]}}')
 
     def test_deep_nesting_named(self):
         depth = 100_000
@@ -204,12 +220,20 @@ class TestCoefficients:
         values[2] = 1.0
         with pytest.raises(ValueError, match="c3"):
             CoefficientSet(values, np.zeros(14, dtype=bool), "bad")
+        with pytest.raises(ValueError, match="expected 14 coefficients and flags"):
+            CoefficientSet(values[:13], np.ones(13, dtype=bool))
+        values[2] = np.nan
+        with pytest.raises(ValueError, match="coefficients contain non-finite values"):
+            CoefficientSet(values, np.ones(14, dtype=bool))
 
 
 class TestNormalizeCloud:
     def test_symmetric_pair(self):
         out = normalize_cloud(PointCloud([[0, 0, 0], [2, 0, 0]]))
         np.testing.assert_allclose(out.points, [[-1, 0, 0], [1, 0, 0]], atol=1e-15)
+        # An offset whose square underflows even in the coordinates' units.
+        out = normalize_cloud(PointCloud([[1, 0, 0], [1, 0, 2.0**-1070]]))
+        np.testing.assert_array_equal(out.points, [[0, 0, -1], [0, 0, 1]])
 
     def test_centroid_and_scale(self):
         rng = np.random.default_rng(11)
@@ -224,8 +248,10 @@ class TestNormalizeCloud:
         assert np.abs(twice.points - once.points).max() < 1e-12
 
     def test_degenerate(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            normalize_cloud(PointCloud([[5, 5, 5], [5, 5, 5]]))
+        # The mean of three 0.1s is not 0.1: only an exact test sees the coincidence.
+        for points in ([[5, 5, 5], [5, 5, 5]], [[0.1, 0.2, 0.3]] * 3):
+            with pytest.raises(ValueError, match="degenerate"):
+                normalize_cloud(PointCloud(points))
 
     @pytest.mark.parametrize("e", [-1000, -570, 540, 1000])
     def test_power_of_two_scale_invariant(self, e):

@@ -1,5 +1,7 @@
 """OLS fitting, inference, top-target selection, and coefficient averaging."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,10 @@ class TestFitMlr:
         assert fit.r_squared == pytest.approx(1.0, abs=1e-10)
         assert list(fit.significant[:2]) == [True, True]
         assert not fit.significant[2:].any()
+        # Constant targets carry no variance: all zeros are fitted exactly, a
+        # nonzero constant is not absorbed by a no-intercept model.
+        assert fit_mlr(x, np.zeros(60)).r_squared == 1.0
+        assert fit_mlr(x, np.full(60, 0.5)).r_squared == 0.0
 
     def test_noisy_planted_recovery(self):
         rng = np.random.default_rng(42)
@@ -167,6 +173,11 @@ class TestFitMlr:
         inf_target[5] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             fit_mlr(x, inf_target)
+        fit = fit_mlr(x, y)
+        with pytest.raises(ValueError, match="std_errors must have length 14"):
+            dataclasses.replace(fit, std_errors=fit.std_errors[:13])
+        with pytest.raises(ValueError, match=r"p-values must lie in \[0, 1\]"):
+            dataclasses.replace(fit, p_values=fit.p_values + 1.0)
 
 
 class TestSelectTopTargets:
@@ -204,6 +215,8 @@ class TestSelectTopTargets:
         scores = ScoreVector([0.1, 0.2, 0.3], NORMALIZED_ADVERSARIAL)
         with pytest.raises(ValueError, match="N"):
             select_top_targets(scores, feats, 4)
+        with pytest.raises(ValueError, match=r"feature rows \(3\) do not match score count \(2\)"):
+            select_top_targets(ScoreVector([0.1, 0.2], NORMALIZED_ADVERSARIAL), feats, 1)
 
 
 class TestAverageCoefficients:
