@@ -4,8 +4,9 @@ Each point is connected to its k Euclidean nearest neighbors (ties broken by
 lower point index) and the edge set is symmetrized by union, so no node is
 isolated; only rows whose k-th-distance tie is not yet inside the query
 window widen it. On clouds of 8192 points or more the k-d tree queries run
-on every CPU scipy sees; each row's answer is computed whole by one thread,
-so the graph does not depend on the thread count. Lengths are taken in the
+on every CPU scipy sees, except inside one share of a corpus fit run across
+processes; each row's answer is computed whole by one thread, so the graph
+does not depend on the thread count. Lengths are taken in the
 cloud's power-of-two units (the scale rule of ``io``), so no cloud scale
 underflows or overflows the squared distances. Edge weights follow a Gaussian kernel
 
@@ -15,12 +16,14 @@ which keeps weights in (0, 1]. The graph exposes the degree vector D and,
 built on first use, the two operators the features apply to whole signal
 blocks: the combinatorial Laplacian L = D - W (positive semi-definite) and
 the row-stochastic transition matrix A = D^-1 W. The graph is a frozen value:
-no field can be rebound, and D is stored read-only.
+no field can be rebound, and D and the three CSR arrays of W are read-only.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -40,10 +43,25 @@ _MAX_KERNEL_EXPONENT = 700.0
 # tail of whole 1024-point attacks by tens of percent.
 _THREADED_QUERY_MIN_POINTS = 8192
 
+# True while this process works one share of a corpus beside other processes
+# that each hold a CPU; threaded queries there would start about c^2 threads
+# on a c-CPU host.
+_single_threaded = ContextVar("single_threaded", default=False)
+
+
+@contextmanager
+def _single_threaded_queries():
+    """Run every k-d tree query on one thread inside the block; results do not change."""
+    token = _single_threaded.set(True)
+    try:
+        yield
+    finally:
+        _single_threaded.reset(token)
+
 
 def _tree_workers(n: int) -> int:
     """The ``workers`` argument for cKDTree queries over an n-point cloud."""
-    return -1 if n >= _THREADED_QUERY_MIN_POINTS else 1
+    return -1 if n >= _THREADED_QUERY_MIN_POINTS and not _single_threaded.get() else 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,5 +172,8 @@ def build_knn_graph(cloud: PointCloud, k: int, sigma: float | None = None) -> Ne
         (np.concatenate([weights, weights]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
         shape=(n, n),
     )
+    # Frozen in place: the graph owns these arrays, so no copy is needed.
+    for part in (adjacency.data, adjacency.indices, adjacency.indptr):
+        part.setflags(write=False)
     degrees = _readonly(adjacency.sum(axis=1)).ravel()
     return NeighborhoodGraph(n=n, sigma=sigma, adjacency=adjacency, degrees=degrees)

@@ -1,10 +1,12 @@
 """End-to-end CLI tests through main(argv), the package's public names, and the CLI's imports."""
 
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
 import types
+from concurrent.futures.process import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from pointdrop import (
     write_scores,
     write_xyz,
 )
+from pointdrop import cli as cli_module
 from pointdrop import graph as graph_module
 from pointdrop.cli import main
 from pointdrop.io import RAW_SALIENCY
@@ -234,6 +237,105 @@ class TestFitCommand:
         assert "no cloud files" in err
 
 
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="fit pools only by fork"
+)
+class TestFitPool:
+    """``fit`` over forked processes, with the CPU count forced through ``_usable_cpus``."""
+
+    def setup_corpus(self, tmp_path, count=6, n=48):
+        rng = np.random.default_rng(60)
+        cloud_dir, scores_dir = tmp_path / "clouds", tmp_path / "scores"
+        cloud_dir.mkdir()
+        scores_dir.mkdir()
+        for i in range(count):
+            pts = rng.normal(size=(n, 3))
+            z = np.linalg.norm(pts, axis=1) + rng.normal(0.0, 0.1, n)
+            (cloud_dir / f"{i}.xyz").write_text(write_xyz(PointCloud(pts)))
+            (scores_dir / f"{i}.txt").write_text(write_scores(ScoreVector(z, RAW_SALIENCY)))
+        return cloud_dir, scores_dir
+
+    @pytest.fixture
+    def shares(self, monkeypatch):
+        """Sizes of the shares handed to forked processes, in submission order."""
+        sizes = []
+        submit = ProcessPoolExecutor.submit
+
+        def recording(pool, fn, pairs, *args):
+            sizes.append(len(pairs))
+            return submit(pool, fn, pairs, *args)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", recording)
+        return sizes
+
+    def fit(self, capsys, monkeypatch, cpus, cloud_dir, scores_dir):
+        monkeypatch.setattr(cli_module, "_usable_cpus", lambda: cpus)
+        return run(capsys, ["fit", str(cloud_dir), str(scores_dir), "--k", "6", "--top-n", "20"])
+
+    def test_bytes_independent_of_process_count(self, capsys, monkeypatch, tmp_path, shares):
+        cloud_dir, scores_dir = self.setup_corpus(tmp_path)
+        results = {}
+        for cpus, children in ((1, []), (2, [3]), (3, [2, 2])):
+            shares.clear()
+            results[cpus] = self.fit(capsys, monkeypatch, cpus, cloud_dir, scores_dir)
+            assert shares == children
+            assert multiprocessing.active_children() == []
+        code, out, err = results[1]
+        assert code == 0 and "fitted: 6 clouds" in err
+        assert results[2] == results[1] and results[3] == results[1]
+
+    @pytest.mark.parametrize("broken", [(1, 4), (3, 5)], ids=["parent-share", "child-shares"])
+    def test_first_failing_pair_named(self, capsys, monkeypatch, tmp_path, shares, broken):
+        # With 3 processes the shares are pairs 0-1 (this process), 2-3 and 4-5.
+        cloud_dir, scores_dir = self.setup_corpus(tmp_path)
+        for i in broken:
+            (scores_dir / f"{i}.txt").write_text("0.5\n" * 10)
+        first = broken[0]
+        expected = (
+            f"error: {cloud_dir / f'{first}.xyz'}, {scores_dir / f'{first}.txt'}: "
+            "score count mismatch: expected 48, found 10\n"
+        )
+        for cpus in (1, 3):
+            shares.clear()
+            assert self.fit(capsys, monkeypatch, cpus, cloud_dir, scores_dir) == (2, "", expected)
+            assert shares == ([] if cpus == 1 else [2, 2])
+            assert multiprocessing.active_children() == []
+
+    def test_serial_without_fork(self, capsys, monkeypatch, tmp_path, shares):
+        cloud_dir, scores_dir = self.setup_corpus(tmp_path, count=4)
+        serial = self.fit(capsys, monkeypatch, 1, cloud_dir, scores_dir)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert self.fit(capsys, monkeypatch, 2, cloud_dir, scores_dir) == serial
+        assert shares == []
+
+    def test_small_corpus_stays_serial(self, capsys, monkeypatch, tmp_path, shares):
+        per_process = cli_module._MIN_CLOUDS_PER_PROCESS
+        cloud_dir, scores_dir = self.setup_corpus(tmp_path, count=2 * per_process - 1)
+        assert self.fit(capsys, monkeypatch, 4, cloud_dir, scores_dir)[0] == 0
+        assert shares == []
+
+    def test_parent_share_queries_single_threaded(self, capsys, monkeypatch, tmp_path, shares):
+        # Thread every query, then record this process's: a pooled share runs
+        # them on one thread, a serial fit on every CPU.
+        workers = []
+
+        class RecordingTree(graph_module.cKDTree):
+            def query(self, x, k=1, **kwargs):
+                workers.append(kwargs["workers"])
+                return super().query(x, k=k, **kwargs)
+
+        monkeypatch.setattr(graph_module, "_THREADED_QUERY_MIN_POINTS", 1)
+        monkeypatch.setattr(graph_module, "cKDTree", RecordingTree)
+        cloud_dir, scores_dir = self.setup_corpus(tmp_path, count=4)
+        results = []
+        for cpus, expected in ((2, 1), (1, -1)):
+            workers.clear()
+            results.append(self.fit(capsys, monkeypatch, cpus, cloud_dir, scores_dir))
+            assert workers and set(workers) == {expected}
+        assert shares == [2]
+        assert results[0] == results[1]
+
+
 class TestAttackCommand:
     def test_stdout_routing(self, capsys, tmp_path):
         path = tmp_path / "cloud.xyz"
@@ -441,13 +543,16 @@ def test_output_independent_of_process_and_threads(tmp_path):
         )
         return done.stdout, done.stderr
 
+    def pin_one_cpu():
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+    can_pin = hasattr(os, "sched_setaffinity")
     n = 9000
     assert n >= graph_module._THREADED_QUERY_MIN_POINTS
     cloud = tmp_path / "large.xyz"
     cloud.write_text(write_xyz(random_cloud(50, n=n)))
-    if hasattr(os, "sched_setaffinity"):
-        one_cpu = {min(os.sched_getaffinity(0))}
-        pinned = cli(["features", str(cloud)], lambda: os.sched_setaffinity(0, one_cpu))
+    if can_pin:
+        pinned = cli(["features", str(cloud)], pin_one_cpu)
         assert pinned == cli(["features", str(cloud)])
 
     rng = np.random.default_rng(51)
@@ -459,16 +564,14 @@ def test_output_independent_of_process_and_threads(tmp_path):
         (scores_dir / f"{i}.txt").write_text(
             write_scores(ScoreVector(rng.normal(size=64), RAW_SALIENCY))
         )
+    fit_argv = ["fit", str(cloud_dir), str(scores_dir), "--top-n", "30"]
     fits = [
-        cli(
-            ["fit", str(cloud_dir), str(scores_dir), "--top-n", "30"],
-            OPENBLAS_NUM_THREADS=threads,
-            OMP_NUM_THREADS=threads,
-            PYTHONHASHSEED=seed,
-        )
+        cli(fit_argv, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONHASHSEED=seed)
         for threads, seed in (("1", "1"), ("2", "2"))
     ]
     assert fits[0] == fits[1]
+    if can_pin:  # one process, against one per usable CPU
+        assert cli(fit_argv, pin_one_cpu) == fits[0]
 
 
 def test_public_surface():
@@ -485,10 +588,37 @@ def test_public_surface():
 
 
 def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats costs most of a second to import and no command needs it.
+    # scipy.stats costs most of a second to import and no command needs it;
+    # the process pool's modules load only when a fit uses the pool.
     env = {**os.environ, "PYTHONPATH": str(Path(pointdrop.__file__).parents[1])}
-    probe = "import sys, pointdrop.cli; print('scipy.stats' in sys.modules)"
+    unwanted = ["scipy.stats", "multiprocessing", "concurrent.futures.process"]
+    probe = f"import sys, pointdrop.cli; print([m for m in {unwanted!r} if m in sys.modules])"
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
+
+
+def test_parser_built_once_and_reusable(capsys, tmp_path):
+    # The parser is cached per process; a usage error leaves it as a fresh one.
+    cloud = tmp_path / "cloud.xyz"
+    cloud.write_text(write_xyz(random_cloud(53, n=20)))
+    valid = ["features", str(cloud), "--k", "5"]
+    invalid = ["features", str(cloud), "--gamma", "-1"]
+
+    def usage_error():
+        with pytest.raises(SystemExit) as exc:
+            main(invalid)
+        return exc.value.code, capsys.readouterr().err
+
+    cli_module._build_parser.cache_clear()
+    fresh_error = usage_error()
+    cli_module._build_parser.cache_clear()
+    fresh_valid = run(capsys, valid)
+    assert fresh_error[0] == 2 and "must be positive, got -1" in fresh_error[1]
+    assert fresh_valid[0] == 0
+    parser = cli_module._build_parser()
+    assert usage_error() == fresh_error
+    assert run(capsys, valid) == fresh_valid
+    assert usage_error() == fresh_error
+    assert cli_module._build_parser() is parser

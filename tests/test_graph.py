@@ -200,6 +200,13 @@ class TestKnnSelection:
         np.testing.assert_array_equal(threaded_knn, single_knn)
         np.testing.assert_array_equal(threaded_balls, single_balls)
 
+    def test_single_threaded_queries_inside_block(self):
+        big = graph_module._THREADED_QUERY_MIN_POINTS
+        assert graph_module._tree_workers(big) == -1
+        with graph_module._single_threaded_queries():
+            assert graph_module._tree_workers(big) == 1
+        assert graph_module._tree_workers(big) == -1
+
     @pytest.mark.parametrize(
         "scale", [2.0**-1000, 2.0**700, 1e200, 1e-300], ids=["2^-1000", "2^700", "1e200", "1e-300"]
     )
@@ -228,6 +235,17 @@ class TestKnnSelection:
 
 
 class TestSignalOps:
+    def test_adjacency_is_read_only(self):
+        # W is frozen like D: an edit would leave the degrees and the operators
+        # built from them disagreeing with it. Both operators still build.
+        g = build_knn_graph(random_cloud(13), k=6)
+        w = g.adjacency
+        for part, value in ((w.data, 2.0), (w.indices, 0), (w.indptr, 0)):
+            with pytest.raises(ValueError, match="read-only"):
+                part[:] = value
+        np.testing.assert_allclose(g.transition @ np.ones(g.n), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(g.laplacian @ np.ones(g.n), 0.0, rtol=0, atol=1e-12)
+
     def test_transition_preserves_constant(self):
         g = build_knn_graph(random_cloud(10), k=10)
         out = g.transition @ np.ones(g.n)
