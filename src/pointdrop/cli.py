@@ -21,9 +21,11 @@ stderr. So ``pointdrop fit C S > model.json`` writes a loadable model.
 from __future__ import annotations
 
 import argparse
+import contextvars
 import os
 import sys
 from functools import cache
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +39,7 @@ from .attack import (
     rank_top_n,
 )
 from .features import extract_features, features_to_csv
-from .graph import _single_threaded_queries
+from .graph import _single_threaded
 from .io import (
     CoefficientSet,
     format_number,
@@ -67,6 +69,23 @@ def _positive(text: str) -> float:
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
+
+
+def _at_least(least: int, many: bool = False):
+    """An argparse type: an integer >= least, or with ``many`` a comma list of one or more."""
+
+    def parse(text: str):
+        try:
+            values = [int(t) for t in text.split(",") if t.strip()] if many else [int(text)]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer{' list' * many}, got {text!r}")
+        if not values:
+            raise argparse.ArgumentTypeError("no values given")
+        if min(values) < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {text}")
+        return values if many else values[0]
+
+    return parse
 
 
 def _sigma_value(text: str):
@@ -113,9 +132,12 @@ def _cmd_features(args: argparse.Namespace) -> int:
 
 
 def _pair_corpus(cloud_dir: str, scores_dir: str):
-    """(cloud path, score path) pairs, matched by basename stem."""
-    clouds = {p.stem: p for p in sorted(Path(cloud_dir).iterdir()) if p.is_file()}
-    scores = {p.stem: p for p in sorted(Path(scores_dir).iterdir()) if p.is_file()}
+    """(cloud path, score path) pairs, matched by a basename stem unique in each directory."""
+    clouds, scores = {}, {}
+    for directory, files in ((cloud_dir, clouds), (scores_dir, scores)):
+        for path in sorted(Path(directory).iterdir()):
+            if path.is_file() and files.setdefault(path.stem, path) != path:
+                raise ValueError(f"{files[path.stem]} and {path} share the stem {path.stem!r}")
     if not clouds:
         raise ValueError(f"no cloud files found in {cloud_dir}")
     unmatched = sorted(set(clouds) ^ set(scores))
@@ -139,9 +161,9 @@ def _featurize(pairs, args: argparse.Namespace) -> list:
 
 
 def _featurize_share(pairs, args: argparse.Namespace) -> list:
-    """One process's share of the corpus: every other share's process holds a CPU too."""
-    with _single_threaded_queries():
-        return _featurize(pairs, args)
+    """One process's share, its tree queries on one thread: every other share holds a CPU too."""
+    _single_threaded.set(True)
+    return _featurize(pairs, args)
 
 
 def _usable_cpus() -> int:
@@ -154,9 +176,9 @@ def _usable_cpus() -> int:
 def _featurize_corpus(pairs, args: argparse.Namespace) -> list:
     """Every pair's block in sorted order, over up to one process per usable CPU.
 
-    The pairs split into contiguous shares. Forked processes work shares 2..w
-    while this one works share 1; then the blocks are joined in order. The
-    first failing pair in sorted order raises, as in one process.
+    The pairs split into contiguous shares. Forked processes work shares 2..w while this one
+    works share 1 in a copied context, so the caller keeps threaded queries; then the blocks
+    are joined in order. The first failing pair in sorted order raises, as in one process.
     """
     workers = min(_usable_cpus(), len(pairs) // _MIN_CLOUDS_PER_PROCESS)
     if workers <= 1:
@@ -171,24 +193,16 @@ def _featurize_corpus(pairs, args: argparse.Namespace) -> list:
 
     n = len(pairs)
     shares = [pairs[i * n // workers : (i + 1) * n // workers] for i in range(workers)]
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers - 1, mp_context=context) as pool:
-        futures = [pool.submit(_featurize_share, share, args) for share in shares[1:]]
-        try:
-            blocks = _featurize_share(shares[0], args)
-            for future in futures:
-                blocks.extend(future.result())
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-    return blocks
+    with ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+        children = pool.map(_featurize_share, shares[1:], repeat(args))
+        own = contextvars.copy_context().run(_featurize_share, shares[0], args)
+        return list(chain(own, *children))
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     _check_alpha(args.alpha)
     pairs = _pair_corpus(args.cloud_dir, args.scores_dir)
-    blocks = _featurize_corpus(pairs, args)
-    xs, ys = zip(*blocks)
+    xs, ys = zip(*_featurize_corpus(pairs, args))
     fit = fit_mlr(np.concatenate(xs), np.concatenate(ys), alpha=args.alpha)
     provenance = (
         f"fitted: {len(pairs)} clouds, per-cloud min-max score normalization, "
@@ -233,11 +247,8 @@ def _cmd_overlap(args: argparse.Namespace) -> int:
     scores_b = parse_scores(Path(args.scores_b).read_text())
     if scores_a.n != scores_b.n:
         raise ValueError(f"score files differ in length: {scores_a.n} vs {scores_b.n}")
-    n_list = [int(token) for token in map(str.strip, args.top_n.split(",")) if token]
-    if not n_list:
-        raise ValueError("no top-N values given")
     lines = ["N,overlap_percent"]
-    for n_top in n_list:
+    for n_top in args.top_n:
         pct = overlap(rank_top_n(scores_a, n_top), rank_top_n(scores_b, n_top))
         lines.append(f"{n_top},{pct:.12g}")
     _emit("\n".join(lines) + "\n", args.output)
@@ -254,11 +265,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     graph_opts = argparse.ArgumentParser(add_help=False)
-    graph_opts.add_argument("--k", type=int, default=10, help="neighbors per point (default 10)")
+    graph_opts.add_argument(
+        "--k", type=_at_least(1), default=10, help="neighbors per point (default 10)"
+    )
     graph_opts.add_argument(
         "--sigma",
         type=_sigma_value,
-        default=None,
         help="Gaussian kernel width, or 'auto' for mean edge length (default auto)",
     )
     graph_opts.add_argument(
@@ -268,9 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--ball-radius", type=_positive, default=0.1, help="counting-ball radius (default 0.1)"
     )
     graph_opts.add_argument(
-        "--normalize",
-        action="store_true",
-        help="center the cloud and scale its max norm to 1 before processing",
+        "--normalize", action="store_true", help="center the cloud and scale it to max norm 1 first"
     )
 
     out_opts = argparse.ArgumentParser(add_help=False)
@@ -283,14 +293,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_features)
 
     p = sub.add_parser(
-        "fit",
-        parents=[graph_opts, out_opts],
-        help="fit the score model on a cloud/score corpus",
+        "fit", parents=[graph_opts, out_opts], help="fit the score model on a cloud/score corpus"
     )
     p.add_argument("cloud_dir", help="directory of xyz cloud files")
     p.add_argument("scores_dir", help="directory of score files matched by basename")
     p.add_argument(
-        "--top-n", type=int, default=100, help="highest-scoring points kept per cloud (default 100)"
+        "--top-n", type=_at_least(1), default=100, help="top points pooled per cloud (default 100)"
     )
     p.add_argument("--alpha", type=float, default=0.05, help="significance level (default 0.05)")
     p.set_defaults(func=_cmd_fit)
@@ -306,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument(
         "--random", action="store_true", help="drop uniformly random points instead of predicted"
     )
-    p.add_argument("--top-n", type=int, default=100, help="points to drop (default 100)")
+    p.add_argument("--top-n", type=_at_least(0), default=100, help="points to drop (default 100)")
     p.add_argument("--seed", type=int, default=0, help="random-drop seed (default 0)")
     p.set_defaults(func=_cmd_attack)
 
@@ -317,6 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("scores_b", help="second score file")
     p.add_argument(
         "--top-n",
+        type=_at_least(1, many=True),
         default="50,100,150,200",
         help="comma-separated N values (default 50,100,150,200)",
     )

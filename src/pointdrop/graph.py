@@ -22,7 +22,6 @@ no field can be rebound, and D and the three CSR arrays of W are read-only.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -47,16 +46,6 @@ _THREADED_QUERY_MIN_POINTS = 8192
 # that each hold a CPU; threaded queries there would start about c^2 threads
 # on a c-CPU host.
 _single_threaded = ContextVar("single_threaded", default=False)
-
-
-@contextmanager
-def _single_threaded_queries():
-    """Run every k-d tree query on one thread inside the block; results do not change."""
-    token = _single_threaded.set(True)
-    try:
-        yield
-    finally:
-        _single_threaded.reset(token)
 
 
 def _tree_workers(n: int) -> int:

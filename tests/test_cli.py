@@ -173,14 +173,27 @@ class TestFitCommand:
         assert "alpha must lie in (0, 1), got 1.5" in err
 
     def test_bad_gamma_or_radius_rejected_before_reading(self, capsys, tmp_path):
-        # Usage errors, like a bad --sigma: argparse exits before any pair is read.
+        # Usage errors, like a bad --sigma: argparse exits before any file is read.
         cloud_dir, scores_dir, _ = self.setup_corpus(tmp_path)
         (cloud_dir / "a.xyz").write_text("1 2 3\n4 5\n")
-        for flag, value in (("--gamma", "-1"), ("--ball-radius", "0")):
+        fit = ["fit", str(cloud_dir), str(scores_dir)]
+        attack = ["attack", str(cloud_dir / "a.xyz"), "--random"]
+        overlap = ["overlap", str(scores_dir / "a.txt"), str(scores_dir / "b.txt")]
+        for command, flag, value, message in (
+            (fit, "--gamma", "-1", "must be positive, got -1"),
+            (fit, "--ball-radius", "0", "must be positive, got 0"),
+            (fit, "--k", "0", "must be at least 1, got 0"),
+            (fit, "--k", "2.5", "expected an integer, got '2.5'"),
+            (fit, "--top-n", "-1", "must be at least 1, got -1"),
+            (fit, "--top-n", "0", "must be at least 1, got 0"),
+            (attack, "--top-n", "-1", "must be at least 0, got -1"),
+            (overlap, "--top-n", "10,x", "expected an integer list, got '10,x'"),
+            (overlap, "--top-n", "10,0", "must be at least 1, got 10,0"),
+        ):
             with pytest.raises(SystemExit) as exc:
-                main(["fit", str(cloud_dir), str(scores_dir), flag, value])
+                main([*command, flag, value])
             assert exc.value.code == 2
-            assert f"argument {flag}: must be positive, got {value}\n" in capsys.readouterr().err
+            assert f"argument {flag}: {message}\n" in capsys.readouterr().err
 
     def test_failing_pair_named(self, capsys, tmp_path):
         cloud_dir, scores_dir, _ = self.setup_corpus(tmp_path)
@@ -227,6 +240,17 @@ class TestFitCommand:
             np.testing.assert_array_equal(coeffs.significant, unit.significant)
             assert p_column == unit_p
 
+    @pytest.mark.parametrize("kind", ["clouds", "scores"])
+    def test_duplicate_stems_rejected(self, capsys, tmp_path, kind):
+        # A stray file must not silently replace a cloud or its scores.
+        cloud_dir, scores_dir, _ = self.setup_corpus(tmp_path)
+        directory, suffix = (cloud_dir, "xyz") if kind == "clouds" else (scores_dir, "txt")
+        (directory / "a.zzz").write_text("0.0\n")
+        code, out, err = run(capsys, ["fit", str(cloud_dir), str(scores_dir)])
+        assert (code, out) == (2, "")
+        kept, stray = directory / f"a.{suffix}", directory / "a.zzz"
+        assert err == f"error: {kept} and {stray} share the stem 'a'\n"
+
     def test_empty_cloud_dir(self, capsys, tmp_path):
         cloud_dir = tmp_path / "empty"
         cloud_dir.mkdir()
@@ -257,15 +281,16 @@ class TestFitPool:
 
     @pytest.fixture
     def shares(self, monkeypatch):
-        """Sizes of the shares handed to forked processes, in submission order."""
+        """Sizes of the shares mapped over forked processes, in order."""
         sizes = []
-        submit = ProcessPoolExecutor.submit
+        pool_map = ProcessPoolExecutor.map
 
-        def recording(pool, fn, pairs, *args):
-            sizes.append(len(pairs))
-            return submit(pool, fn, pairs, *args)
+        def recording(pool, fn, shares, *iterables, **kwargs):
+            shares = list(shares)
+            sizes.extend(len(share) for share in shares)
+            return pool_map(pool, fn, shares, *iterables, **kwargs)
 
-        monkeypatch.setattr(ProcessPoolExecutor, "submit", recording)
+        monkeypatch.setattr(ProcessPoolExecutor, "map", recording)
         return sizes
 
     def fit(self, capsys, monkeypatch, cpus, cloud_dir, scores_dir):
@@ -334,6 +359,29 @@ class TestFitPool:
             assert workers and set(workers) == {expected}
         assert shares == [2]
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("failing", [None, 0, 5], ids=["ok", "parent-share", "child-share"])
+    def test_every_share_queries_single_threaded(self, monkeypatch, shares, failing):
+        # A stand-in _featurize gives, per pair, the workers a large cloud's
+        # tree queries would use; forked children inherit the patch.
+        big = graph_module._THREADED_QUERY_MIN_POINTS
+
+        def featurize(pairs, args):
+            if failing in pairs:
+                raise ValueError(f"pair {failing}")
+            return [graph_module._tree_workers(big) for _ in pairs]
+
+        monkeypatch.setattr(cli_module, "_featurize", featurize)
+        for cpus, expected in ((1, -1), (2, 1), (3, 1)):
+            monkeypatch.setattr(cli_module, "_usable_cpus", lambda: cpus)
+            if failing is None:
+                assert cli_module._featurize_corpus(list(range(6)), None) == [expected] * 6
+            else:
+                with pytest.raises(ValueError, match=f"^pair {failing}$"):
+                    cli_module._featurize_corpus(list(range(6)), None)
+            assert graph_module._tree_workers(big) == -1
+            assert multiprocessing.active_children() == []
+        assert shares == [3, 2, 2]
 
 
 class TestAttackCommand:
@@ -474,9 +522,10 @@ class TestOverlapCommand:
         for line in lines[1:]:
             pct = float(line.split(",")[1])
             assert 0.0 <= pct <= 100.0
-        code, _, err = run(capsys, ["overlap", str(a), str(b), "--top-n", " , "])
-        assert code == 2
-        assert err == "error: no top-N values given\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["overlap", str(a), str(b), "--top-n", " , "])
+        assert exc.value.code == 2
+        assert "argument --top-n: no values given\n" in capsys.readouterr().err
 
     def test_known_half_overlap(self, capsys, tmp_path):
         a = tmp_path / "a.txt"

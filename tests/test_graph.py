@@ -1,5 +1,6 @@
 """Neighborhood graph construction and its two operators, A and L."""
 
+import contextvars
 import math
 
 import numpy as np
@@ -201,11 +202,17 @@ class TestKnnSelection:
         np.testing.assert_array_equal(threaded_balls, single_balls)
 
     def test_single_threaded_queries_inside_block(self):
+        # A pooled share sets the rule inside a copied context; the caller's stays unset.
         big = graph_module._THREADED_QUERY_MIN_POINTS
+
+        def share():
+            graph_module._single_threaded.set(True)
+            return graph_module._tree_workers(big), graph_module._tree_workers(big - 1)
+
         assert graph_module._tree_workers(big) == -1
-        with graph_module._single_threaded_queries():
-            assert graph_module._tree_workers(big) == 1
+        assert contextvars.copy_context().run(share) == (1, 1)
         assert graph_module._tree_workers(big) == -1
+        assert graph_module._tree_workers(big - 1) == 1
 
     @pytest.mark.parametrize(
         "scale", [2.0**-1000, 2.0**700, 1e200, 1e-300], ids=["2^-1000", "2^700", "1e200", "1e-300"]
