@@ -39,13 +39,7 @@ from .io import (
     write_xyz,
 )
 from .presets import REFERENCE_R2_PERCENT, get_preset, preset_names
-from .regression import (
-    RegressionFit,
-    average_coefficients,
-    fit_mlr,
-    fit_report,
-    select_top_targets,
-)
+from .regression import RegressionFit, average_coefficients, fit_mlr, fit_report, select_top_targets
 
 __version__ = "0.1.0"
 

@@ -44,22 +44,21 @@ class AttackResult:
 
     def __post_init__(self):
         idx = _readonly(self.dropped_indices, np.int64)
+        object.__setattr__(self, "dropped_indices", idx)
         if idx.ndim != 1:
             raise ValueError(f"dropped indices must be a 1-d vector, got shape {idx.shape}")
-        n_total = self.retained_cloud.n + idx.size
         if idx.size:
-            if idx.min() < 0 or idx.max() >= n_total:
+            if idx.min() < 0 or idx.max() >= self.n_total:
                 raise ValueError("dropped indices out of range for the original cloud")
             if np.unique(idx).size != idx.size:
                 raise ValueError("dropped indices contain duplicates")
         if self.scores is not None:
-            if self.scores.n != n_total:
+            if self.scores.n != self.n_total:
                 raise ValueError("score vector length does not match the original cloud")
             vals = self.scores.values[idx]
             dv, di = np.diff(vals), np.diff(idx)
             if not np.all((dv < 0) | ((dv == 0) & (di > 0))):
                 raise ValueError("dropped indices are not in descending score order")
-        object.__setattr__(self, "dropped_indices", idx)
 
     @property
     def n_dropped(self) -> int:
@@ -67,7 +66,7 @@ class AttackResult:
 
     @property
     def n_total(self) -> int:
-        return self.retained_cloud.n + self.dropped_indices.size
+        return self.retained_cloud.n + self.n_dropped
 
     @property
     def retained_indices(self) -> np.ndarray:
@@ -101,6 +100,14 @@ def rank_top_n(scores: ScoreVector, n_top: int) -> np.ndarray:
     return np.lexsort((np.arange(scores.n), -scores.values))[:n_top]
 
 
+def _drop(cloud: PointCloud, n_drop: int, choose) -> AttackResult:
+    """Check 0 <= n_drop < n, then drop the indices of ``choose()`` -> (indices, scores or None)."""
+    if not 0 <= n_drop < cloud.n:
+        raise ValueError(f"drop count must satisfy 0 <= N < {cloud.n}, got {n_drop}")
+    dropped, scores = choose()
+    return AttackResult(dropped, PointCloud(np.delete(cloud.points, dropped, axis=0)), scores)
+
+
 def drop_attack(
     cloud: PointCloud, coeffs: CoefficientSet, n_drop: int, **feature_options
 ) -> AttackResult:
@@ -109,13 +116,12 @@ def drop_attack(
     Features come from extract_features(cloud, **feature_options) on the
     full input cloud; the surviving points keep their original relative order.
     """
-    if not 0 <= n_drop < cloud.n:
-        raise ValueError(f"drop count must satisfy 0 <= N < {cloud.n}, got {n_drop}")
-    feats = extract_features(cloud, **feature_options)
-    predicted = predict_scores(feats, coeffs)
-    dropped = rank_top_n(predicted, n_drop)
-    retained = PointCloud(np.delete(cloud.points, dropped, axis=0))
-    return AttackResult(dropped, retained, predicted)
+
+    def by_score():
+        predicted = predict_scores(extract_features(cloud, **feature_options), coeffs)
+        return rank_top_n(predicted, n_drop), predicted
+
+    return _drop(cloud, n_drop, by_score)
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -135,24 +141,24 @@ def random_drop(cloud: PointCloud, n_drop: int, seed: int) -> AttackResult:
     is fixed by this package rather than by any library's RNG evolution.
     Identical (cloud size, n_drop, seed) always yield identical index sets.
     """
-    n = cloud.n
-    if not 0 <= n_drop < n:
-        raise ValueError(f"drop count must satisfy 0 <= N < {n}, got {n_drop}")
-    state = int(seed) & _MASK64
-    pool = list(range(n))
-    for i in range(n_drop):
-        span = n - i
-        # Rejection sampling keeps draws modulo-bias-free.
-        limit = (1 << 64) - ((1 << 64) % span)
-        while True:
-            state, draw = _splitmix64(state)
-            if draw < limit:
-                break
-        j = i + draw % span
-        pool[i], pool[j] = pool[j], pool[i]
-    dropped = np.array(pool[:n_drop], dtype=np.int64)
-    retained = PointCloud(np.delete(cloud.points, dropped, axis=0))
-    return AttackResult(dropped, retained, None)
+
+    def shuffled():
+        n = cloud.n
+        state = int(seed) & _MASK64
+        pool = list(range(n))
+        for i in range(n_drop):
+            span = n - i
+            # Rejection sampling keeps draws modulo-bias-free.
+            limit = (1 << 64) - ((1 << 64) % span)
+            while True:
+                state, draw = _splitmix64(state)
+                if draw < limit:
+                    break
+            j = i + draw % span
+            pool[i], pool[j] = pool[j], pool[i]
+        return np.array(pool[:n_drop], dtype=np.int64), None
+
+    return _drop(cloud, n_drop, shuffled)
 
 
 def overlap(set_a, set_b) -> float:

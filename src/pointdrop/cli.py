@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import contextvars
-import os
 import sys
 from functools import cache
 from itertools import chain, repeat
@@ -30,16 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .attack import (
-    AttackResult,
-    drop_attack,
-    normalize_scores,
-    overlap,
-    random_drop,
-    rank_top_n,
-)
+from .attack import AttackResult, drop_attack, normalize_scores, overlap, random_drop, rank_top_n
 from .features import extract_features, features_to_csv
-from .graph import _single_threaded
+from .graph import _single_threaded, _usable_cpus
 from .io import (
     CoefficientSet,
     format_number,
@@ -166,21 +158,15 @@ def _featurize_share(pairs, args: argparse.Namespace) -> list:
     return _featurize(pairs, args)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _featurize_corpus(pairs, args: argparse.Namespace) -> list:
     """Every pair's block in sorted order, over up to one process per usable CPU.
 
     The pairs split into contiguous shares. Forked processes work shares 2..w while this one
     works share 1 in a copied context, so the caller keeps threaded queries; then the blocks
-    are joined in order. The first failing pair in sorted order raises, as in one process.
+    are joined in order. The first failing pair in sorted order raises at once, as in one process.
     """
-    workers = min(_usable_cpus(), len(pairs) // _MIN_CLOUDS_PER_PROCESS)
+    n = len(pairs)
+    workers = min(_usable_cpus(), n // _MIN_CLOUDS_PER_PROCESS)
     if workers <= 1:
         return _featurize(pairs, args)
     import multiprocessing
@@ -191,12 +177,17 @@ def _featurize_corpus(pairs, args: argparse.Namespace) -> list:
         return _featurize(pairs, args)
     from concurrent.futures.process import ProcessPoolExecutor
 
-    n = len(pairs)
     shares = [pairs[i * n // workers : (i + 1) * n // workers] for i in range(workers)]
+    before = set(multiprocessing.active_children())
     with ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork")) as pool:
         children = pool.map(_featurize_share, shares[1:], repeat(args))
-        own = contextvars.copy_context().run(_featurize_share, shares[0], args)
-        return list(chain(own, *children))
+        try:
+            own = contextvars.copy_context().run(_featurize_share, shares[0], args)
+            return list(chain(own, *children))
+        except BaseException:  # leaving the pool would wait for every running share
+            for child in set(multiprocessing.active_children()) - before:
+                child.terminate()
+            raise
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:

@@ -28,9 +28,9 @@ The test oracle solves the same system densely.
 Lengths are computed in power-of-two units (the scale rule of ``io``): a
 cloud and ball radius scaled by 2^e give the length columns scaled by 2^e.
 
-On clouds of 8192 points or more the ball counts query a k-d tree on every
-CPU scipy sees; each point's count is exact, so the result does not depend
-on the thread count.
+On clouds of 8192 points or more the ball counts query a k-d tree on one
+thread per usable CPU (``graph._tree_workers``); each point's count is exact,
+so the result does not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -133,7 +133,8 @@ def lpf_solve(graph: NeighborhoodGraph, cloud: PointCloud, gamma: float) -> np.n
     per-column power-of-two units (the scale rule of ``io``).
     """
     gamma_dmax = gamma * float(graph.degrees.max())
-    if not (gamma > 0 and 1.0 + 2.0 * gamma_dmax < math.inf):
+    kappa = 1.0 + 2.0 * gamma_dmax  # ||I + gamma L||, which bounds its condition number
+    if not (gamma > 0 and kappa < math.inf):
         raise ValueError(f"gamma must be positive, with 2 gamma d_max finite, got {gamma}")
     b, exponents = _to_units(cloud.points, axis=0)
     system = sp.identity(graph.n, format="csr") + gamma * graph.laplacian
@@ -142,7 +143,6 @@ def lpf_solve(graph: NeighborhoodGraph, cloud: PointCloud, gamma: float) -> np.n
         # CG reduces the residual by rtol within about (sqrt(kappa) / 2)
         # ln(2 kappa / rtol) steps at condition number kappa; reaching the
         # cap means rounding has stalled it.
-        kappa = 1.0 + 2.0 * gamma_dmax
         max_iter = math.ceil(0.5 * math.sqrt(kappa) * math.log(2.0 * kappa / _PCG_RTOL))
         qstar = _block_pcg(system, b, 1.0 + gamma * graph.degrees, max_iter)
     if qstar is None:
@@ -152,10 +152,9 @@ def lpf_solve(graph: NeighborhoodGraph, cloud: PointCloud, gamma: float) -> np.n
             raise ValueError(f"low-pass solve failed: {exc}") from None
 
     # Relative residual bound, widened by the matvec rounding floor
-    # eps*||M||*||q|| which dominates only for extreme gamma (~1e9); the
-    # max absolute row sum ||M|| of I + gamma L is 1 + 2 gamma d_max.
+    # eps*kappa*||q|| which dominates only for extreme gamma (~1e9).
     residual = np.linalg.norm(system @ qstar - b, axis=0)
-    floor = 64.0 * np.finfo(np.float64).eps * (1.0 + 2.0 * gamma_dmax)
+    floor = 64.0 * np.finfo(np.float64).eps * kappa
     allowed = np.maximum(1e-8 * np.linalg.norm(b, axis=0), floor * np.linalg.norm(qstar, axis=0))
     # Written so that a NaN residual or tolerance fails the check.
     if not np.all(residual <= allowed):

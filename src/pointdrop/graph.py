@@ -1,14 +1,15 @@
 """k-nearest-neighbor graphs over point clouds and their two operators.
 
 Each point is connected to its k Euclidean nearest neighbors (ties broken by
-lower point index) and the edge set is symmetrized by union, so no node is
-isolated; only rows whose k-th-distance tie is not yet inside the query
-window widen it. On clouds of 8192 points or more the k-d tree queries run
-on every CPU scipy sees, except inside one share of a corpus fit run across
-processes; each row's answer is computed whole by one thread, so the graph
-does not depend on the thread count. Lengths are taken in the
-cloud's power-of-two units (the scale rule of ``io``), so no cloud scale
-underflows or overflows the squared distances. Edge weights follow a Gaussian kernel
+lower point index) and the edge set is symmetrized by union, W taking the
+pattern of K + K^T, so no node is isolated; only rows whose k-th-distance
+tie is not yet inside the query window widen it. On clouds of 8192 points or
+more the k-d tree queries run on one thread per CPU of the affinity mask,
+except inside one share of a corpus fit run across processes; each row's
+answer is computed whole by one thread, so the graph does not depend on the
+thread count. Lengths are taken in the cloud's power-of-two units (the scale
+rule of ``io``), so no cloud scale underflows or overflows the squared
+distances. Edge weights follow a Gaussian kernel
 
     W[i, j] = exp(-||p_i - p_j||^2 / sigma^2)
 
@@ -16,12 +17,13 @@ which keeps weights in (0, 1]. The graph exposes the degree vector D and,
 built on first use, the two operators the features apply to whole signal
 blocks: the combinatorial Laplacian L = D - W (positive semi-definite) and
 the row-stochastic transition matrix A = D^-1 W. The graph is a frozen value:
-no field can be rebound, and D and the three CSR arrays of W are read-only.
+no field can be rebound, and D and the CSR arrays of W, L and A are read-only.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -48,9 +50,23 @@ _THREADED_QUERY_MIN_POINTS = 8192
 _single_threaded = ContextVar("single_threaded", default=False)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _tree_workers(n: int) -> int:
     """The ``workers`` argument for cKDTree queries over an n-point cloud."""
-    return -1 if n >= _THREADED_QUERY_MIN_POINTS and not _single_threaded.get() else 1
+    return 1 if n < _THREADED_QUERY_MIN_POINTS or _single_threaded.get() else _usable_cpus()
+
+
+def _frozen(matrix: sp.csr_matrix) -> sp.csr_matrix:
+    """The CSR matrix itself, its three arrays made read-only in place: the graph owns them."""
+    for part in (matrix.data, matrix.indices, matrix.indptr):
+        part.setflags(write=False)
+    return matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,12 +81,12 @@ class NeighborhoodGraph:
     @cached_property
     def laplacian(self) -> sp.csr_matrix:
         """Combinatorial Laplacian L = D - W."""
-        return (sp.diags(self.degrees) - self.adjacency).tocsr()
+        return _frozen((sp.diags(self.degrees) - self.adjacency).tocsr())
 
     @cached_property
     def transition(self) -> sp.csr_matrix:
         """Row-stochastic averaging operator A = D^-1 W."""
-        return (sp.diags(1.0 / self.degrees) @ self.adjacency).tocsr()
+        return _frozen((sp.diags(1.0 / self.degrees) @ self.adjacency).tocsr())
 
     @property
     def num_edges(self) -> int:
@@ -131,17 +147,16 @@ def build_knn_graph(cloud: PointCloud, k: int, sigma: float | None = None) -> Ne
     points, exponent = _to_units(cloud.points)
     exponent = int(exponent)  # math.ldexp takes only a Python int
 
-    # Union symmetrization: the strict upper triangle of K + K^T lists each
-    # undirected pair once as (lo, hi), sorted by lo, then hi.
-    rows = np.repeat(np.arange(n), k)
-    cols = _knn_select(points, k).ravel()
-    knn = sp.coo_matrix((np.ones(n * k, dtype=bool), (rows, cols)), shape=(n, n)).tocsr()
-    pairs = sp.triu(knn + knn.T, 1, format="coo")
-    lo, hi = pairs.row, pairs.col
-
-    lengths = np.linalg.norm(points[lo] - points[hi], axis=1)
+    # Union symmetrization: K + K^T holds each pair twice; its upper entries (i < j) once.
+    neighbors = np.sort(_knn_select(points, k), axis=1).ravel()
+    knn = sp.csr_matrix((np.ones(n * k, dtype=bool), neighbors, np.arange(0, n * k + 1, k)), (n, n))
+    adjacency = knn + knn.T
+    rows, cols = np.repeat(np.arange(n), np.diff(adjacency.indptr)), adjacency.indices
+    # np.linalg.norm's sum, one coordinate at a time to spare memory; as
+    # p_i - p_j = -(p_j - p_i) exactly, both entries of a pair get one length.
+    lengths = np.sqrt(sum((coordinate[rows] - coordinate[cols]) ** 2 for coordinate in points.T))
     if sigma is None:
-        mean_length = float(lengths.mean())
+        mean_length = float(lengths[rows < cols].mean())
         if mean_length == 0.0:
             # Every retained edge joins coincident points; any width gives
             # weight exp(0) = 1, so report a neutral one.
@@ -156,13 +171,6 @@ def build_knn_graph(cloud: PointCloud, k: int, sigma: float | None = None) -> Ne
     # A tiny given width can square to inf; the clamp maps that to weight
     # exp(-700), so the overflow is expected and harmless.
     with np.errstate(over="ignore"):
-        weights = np.exp(-np.minimum((lengths / width) ** 2, _MAX_KERNEL_EXPONENT))
-    adjacency = sp.csr_matrix(
-        (np.concatenate([weights, weights]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
-        shape=(n, n),
-    )
-    # Frozen in place: the graph owns these arrays, so no copy is needed.
-    for part in (adjacency.data, adjacency.indices, adjacency.indptr):
-        part.setflags(write=False)
-    degrees = _readonly(adjacency.sum(axis=1)).ravel()
+        adjacency.data = np.exp(-np.minimum((lengths / width) ** 2, _MAX_KERNEL_EXPONENT))
+    degrees = _readonly(_frozen(adjacency).sum(axis=1)).ravel()
     return NeighborhoodGraph(n=n, sigma=sigma, adjacency=adjacency, degrees=degrees)

@@ -7,9 +7,10 @@ Text formats:
   * coefficient documents: JSON with ``provenance`` and a ``coefficients``
     list of ``{"index", "value", "significant"}`` records covering 1..14.
 
-All serialized numbers carry 17 significant digits, so a write/parse cycle
-is bit-exact for float64. The writers format blocks of rows with one ``%``
-operation each, byte for byte what ``format_number`` gives.
+Clouds, scores and feature CSV carry 17 significant digits; coefficient JSON
+carries Python's shortest round-trip repr (``-46.105``). Both parse back
+bit-exact. Rows are written in blocks, one ``%`` operation each, byte for
+byte what ``format_number`` gives.
 
 The readers share one blank/comment rule (``_data_lines``) and one
 converter: every data line is split and all tokens go through a single numpy

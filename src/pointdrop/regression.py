@@ -129,7 +129,8 @@ def fit_mlr(x, y, alpha: float = 0.05) -> RegressionFit:
     rinv = scipy.linalg.solve_triangular(rmat, np.eye(q))
     xtx_inv_diag = np.sum(rinv * rinv, axis=1)[unpivot]
 
-    if rss <= _ZERO_RESIDUAL_FRACTION * float(y @ y):
+    exact = rss <= _ZERO_RESIDUAL_FRACTION * float(y @ y)
+    if exact:
         # Exact interpolation: s^2 = 0 and the t statistics blow up. A
         # coefficient counts as nonzero only above the ambient rounding scale.
         nonzero = np.abs(coef) > 1e-8 * np.abs(coef).max()
@@ -143,11 +144,8 @@ def fit_mlr(x, y, alpha: float = 0.05) -> RegressionFit:
         p_values = 2.0 * stdtr(df, -np.abs(t_stats))
 
     tss = float(np.sum((y - y.mean()) ** 2))
-    if tss > 0.0:
-        r_squared = 1.0 - rss / tss
-    else:
-        # Constant targets carry no variance to explain.
-        r_squared = 1.0 if rss <= _ZERO_RESIDUAL_FRACTION * float(y @ y) else 0.0
+    # Constant targets (TSS = 0) carry no variance to explain.
+    r_squared = 1.0 - rss / tss if tss > 0.0 else float(exact)
 
     return RegressionFit(
         coefficients=np.ldexp(coef, exponents[q] - exponents[:q]),

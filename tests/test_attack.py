@@ -232,12 +232,27 @@ class TestRandomDrop:
     def test_seed_mapping_pinned(self):
         # The seed-to-indices mapping is a compatibility contract; these
         # values must never change across releases or library upgrades.
-        cloud = PointCloud(np.arange(30.0).reshape(10, 3))
-        np.testing.assert_array_equal(
-            random_drop(cloud, 3, seed=0).dropped_indices,
-            random_drop(cloud, 3, seed=0).dropped_indices,
-        )
-        assert random_drop(cloud, 10 - 1, seed=123).retained_cloud.n == 1
+        # Recorded from the SplitMix64 / partial Fisher-Yates draw; any change
+        # to the generator, the rejection rule or the swap order breaks them.
+        pinned = {
+            (10, 3, 0): [5, 1, 9],
+            (10, 9, 123): [5, 7, 2, 4, 6, 3, 8, 0, 9],
+            (250, 12, 2**63 + 5): [122, 158, 9, 151, 233, 224, 148, 154, 234, 218, 34, 193],
+            (7, 6, -1): [0, 4, 3, 5, 1, 6],  # a negative seed is taken modulo 2^64
+            (1000, 100, 2**64 - 1): [
+                936, 304, 381, 846, 910, 305, 121, 342, 780, 889, 359, 385, 675, 137, 491,
+                886, 95, 814, 463, 186, 133, 585, 793, 915, 970, 142, 820, 940, 768, 539,
+                712, 168, 311, 584, 624, 166, 196, 201, 689, 277, 699, 469, 131, 322, 430,
+                831, 630, 67, 875, 284, 645, 288, 358, 508, 602, 769, 283, 665, 927, 649,
+                360, 546, 335, 522, 238, 351, 947, 314, 414, 26, 621, 890, 694, 268, 306,
+                511, 58, 269, 493, 682, 89, 86, 375, 658, 612, 596, 282, 902, 549, 540,
+                103, 3, 303, 1, 930, 698, 744, 646, 130, 15,
+            ],
+        }
+        for (n, n_drop, seed), expected in pinned.items():
+            result = random_drop(PointCloud(np.zeros((n, 3))), n_drop, seed=seed)
+            assert result.dropped_indices.tolist() == expected
+            assert result.retained_cloud.n == n - n_drop
 
     def test_n_bounds(self):
         cloud = random_cloud(17, n=10)
@@ -266,6 +281,10 @@ class TestOverlap:
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             overlap([1, 1, 2], [1, 2, 3])
+
+    def test_empty_sets_rejected(self):
+        with pytest.raises(ValueError, match="^cannot compare empty index sets$"):
+            overlap([], [])
 
 
 class TestSyntheticOracle:

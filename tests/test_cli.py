@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import types
 from concurrent.futures.process import ProcessPoolExecutor
 from pathlib import Path
@@ -341,7 +342,7 @@ class TestFitPool:
 
     def test_parent_share_queries_single_threaded(self, capsys, monkeypatch, tmp_path, shares):
         # Thread every query, then record this process's: a pooled share runs
-        # them on one thread, a serial fit on every CPU.
+        # them on one thread, a serial fit on every usable CPU (4 here).
         workers = []
 
         class RecordingTree(graph_module.cKDTree):
@@ -351,9 +352,10 @@ class TestFitPool:
 
         monkeypatch.setattr(graph_module, "_THREADED_QUERY_MIN_POINTS", 1)
         monkeypatch.setattr(graph_module, "cKDTree", RecordingTree)
+        monkeypatch.setattr(graph_module, "_usable_cpus", lambda: 4)
         cloud_dir, scores_dir = self.setup_corpus(tmp_path, count=4)
         results = []
-        for cpus, expected in ((2, 1), (1, -1)):
+        for cpus, expected in ((2, 1), (1, 4)):
             workers.clear()
             results.append(self.fit(capsys, monkeypatch, cpus, cloud_dir, scores_dir))
             assert workers and set(workers) == {expected}
@@ -363,8 +365,9 @@ class TestFitPool:
     @pytest.mark.parametrize("failing", [None, 0, 5], ids=["ok", "parent-share", "child-share"])
     def test_every_share_queries_single_threaded(self, monkeypatch, shares, failing):
         # A stand-in _featurize gives, per pair, the workers a large cloud's
-        # tree queries would use; forked children inherit the patch.
+        # tree queries would use (4 usable CPUs); forked children inherit the patch.
         big = graph_module._THREADED_QUERY_MIN_POINTS
+        monkeypatch.setattr(graph_module, "_usable_cpus", lambda: 4)
 
         def featurize(pairs, args):
             if failing in pairs:
@@ -372,16 +375,40 @@ class TestFitPool:
             return [graph_module._tree_workers(big) for _ in pairs]
 
         monkeypatch.setattr(cli_module, "_featurize", featurize)
-        for cpus, expected in ((1, -1), (2, 1), (3, 1)):
+        for cpus, expected in ((1, 4), (2, 1), (3, 1)):
             monkeypatch.setattr(cli_module, "_usable_cpus", lambda: cpus)
             if failing is None:
                 assert cli_module._featurize_corpus(list(range(6)), None) == [expected] * 6
             else:
                 with pytest.raises(ValueError, match=f"^pair {failing}$"):
                     cli_module._featurize_corpus(list(range(6)), None)
-            assert graph_module._tree_workers(big) == -1
+            assert graph_module._tree_workers(big) == 4
             assert multiprocessing.active_children() == []
         assert shares == [3, 2, 2]
+
+    @pytest.mark.parametrize("broken", [0, 2], ids=["parent-share", "child-share"])
+    def test_failure_ends_running_shares(self, capsys, monkeypatch, tmp_path, shares, broken):
+        # Forked shares without the broken pair sleep per pair. The first
+        # failing pair raises at once, without waiting for them, and leaves
+        # no process behind. With 3 processes the shares are 0-1, 2-3 and 4-5.
+        cloud_dir, scores_dir = self.setup_corpus(tmp_path)
+        (scores_dir / f"{broken}.txt").write_text("0.5\n" * 10)
+        serial = self.fit(capsys, monkeypatch, 1, cloud_dir, scores_dir)
+        assert serial[0] == 2 and f"{broken}.txt: score count mismatch" in serial[2]
+        parent, featurize, nap = os.getpid(), cli_module._featurize, 5.0
+
+        def slow_children(pairs, args):
+            if os.getpid() != parent and all(cloud.stem != str(broken) for cloud, _ in pairs):
+                for _ in pairs:
+                    time.sleep(nap)
+            return featurize(pairs, args)
+
+        monkeypatch.setattr(cli_module, "_featurize", slow_children)
+        start = time.perf_counter()
+        assert self.fit(capsys, monkeypatch, 3, cloud_dir, scores_dir) == serial
+        assert time.perf_counter() - start < nap
+        assert multiprocessing.active_children() == []
+        assert shares == [2, 2]
 
 
 class TestAttackCommand:

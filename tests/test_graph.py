@@ -2,13 +2,17 @@
 
 import contextvars
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
 from pointdrop import graph as graph_module
-from pointdrop import PointCloud, ball_count, build_knn_graph
+from pointdrop import PointCloud, ball_count, build_knn_graph, lpf_solve
 from test_acceptance import box_cloud
 
 PATH3 = PointCloud([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
@@ -209,10 +213,31 @@ class TestKnnSelection:
             graph_module._single_threaded.set(True)
             return graph_module._tree_workers(big), graph_module._tree_workers(big - 1)
 
-        assert graph_module._tree_workers(big) == -1
+        cpus = graph_module._usable_cpus()
+        assert graph_module._tree_workers(big) == cpus
         assert contextvars.copy_context().run(share) == (1, 1)
-        assert graph_module._tree_workers(big) == -1
+        assert graph_module._tree_workers(big) == cpus
         assert graph_module._tree_workers(big - 1) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs an affinity mask")
+    def test_query_threads_follow_affinity_mask(self):
+        # A fresh process pinned to one CPU queries on one thread; unpinned,
+        # on one thread per CPU in its mask, not on every CPU of the host.
+        code = (
+            "from pointdrop import graph; "
+            "print(graph._tree_workers(graph._THREADED_QUERY_MIN_POINTS))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(graph_module.__file__).parents[1])}
+
+        def workers(preexec_fn=None):
+            done = subprocess.run(
+                [sys.executable, "-c", code], env=env, preexec_fn=preexec_fn,
+                capture_output=True, text=True, check=True, timeout=60,
+            )
+            return int(done.stdout)
+
+        assert workers(lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})) == 1
+        assert workers() == len(os.sched_getaffinity(0))
 
     @pytest.mark.parametrize(
         "scale", [2.0**-1000, 2.0**700, 1e200, 1e-300], ids=["2^-1000", "2^700", "1e200", "1e-300"]
@@ -242,16 +267,26 @@ class TestKnnSelection:
 
 
 class TestSignalOps:
-    def test_adjacency_is_read_only(self):
-        # W is frozen like D: an edit would leave the degrees and the operators
-        # built from them disagreeing with it. Both operators still build.
-        g = build_knn_graph(random_cloud(13), k=6)
-        w = g.adjacency
-        for part, value in ((w.data, 2.0), (w.indices, 0), (w.indptr, 0)):
-            with pytest.raises(ValueError, match="read-only"):
-                part[:] = value
+    def test_sparse_arrays_are_read_only(self):
+        # W, L and A are frozen like D: an edit to one would leave the others
+        # and the degrees disagreeing with it. Both operators still build.
+        cloud = random_cloud(13)
+        g = build_knn_graph(cloud, k=6)
+        for matrix in (g.adjacency, g.laplacian, g.transition):
+            for part, value in ((matrix.data, 2.0), (matrix.indices, 0), (matrix.indptr, 0)):
+                with pytest.raises(ValueError, match="read-only"):
+                    part[:] = value
         np.testing.assert_allclose(g.transition @ np.ones(g.n), 1.0, rtol=0, atol=1e-12)
         np.testing.assert_allclose(g.laplacian @ np.ones(g.n), 0.0, rtol=0, atol=1e-12)
+        # A's rows come out of its product unsorted; the feature path uses A
+        # and L as they are, sorting nothing in place (that would raise here).
+        a = g.transition
+        indices = a.indices.copy()
+        assert any(np.any(np.diff(indices[lo:hi]) < 0) for lo, hi in zip(a.indptr, a.indptr[1:]))
+        lpf_solve(g, cloud, 0.5)
+        for operator in (a, g.laplacian):
+            operator @ np.ones((g.n, 2))
+        np.testing.assert_array_equal(a.indices, indices)
 
     def test_transition_preserves_constant(self):
         g = build_knn_graph(random_cloud(10), k=10)
