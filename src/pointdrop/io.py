@@ -9,8 +9,12 @@ Text formats:
 
 Clouds, scores and feature CSV carry 17 significant digits; coefficient JSON
 carries Python's shortest round-trip repr (``-46.105``). Both parse back
-bit-exact. Rows are written in blocks, one ``%`` operation each, byte for
-byte what ``format_number`` gives.
+bit-exact. Rows are written in blocks, byte for byte what ``format_number``
+gives, by an exact numpy kernel: each |x| becomes an integer times a power of
+two, its product with 5^s is formed in two uint64 limbs, and the 17 digits
+are the quotient, rounded half-even from the exact remainder. Its range is
+2^-36 <= |x| < 2^53 (about 1.5e-11 to 9.0e15) and ±0; a row holding any
+other value (smaller, larger, subnormal, inf or nan) is written by ``%``.
 
 The readers share one blank/comment rule (``_data_lines``) and one
 converter: every data line is split and all tokens go through a single numpy
@@ -178,17 +182,101 @@ def format_number(value: float) -> str:
 
 _FORMAT_CHUNK_ROWS = 1024
 
+# The kernel's exact range, 2^-36 <= |x| < 2^53 and ±0: there the decimal exponent k
+# lies in -11..15, so 5^(16 - k) fits a uint64 and the shift t of ``_decimal`` lies in 1..63.
+_EXACT_MIN, _EXACT_END = 2.0**-36, 2.0**53
+# Only uint64 operands: numpy 1.x turns uint64 mixed with int64 into float64.
+_POW5 = np.array([5**s for s in range(28)], dtype=np.uint64)
+_ONE, _TWO, _B32, _B52, _B64 = (np.uint64(b) for b in (1, 2, 32, 52, 64))
+_LOW32, _FRACTION, _IMPLICIT = np.uint64(2**32 - 1), np.uint64(2**52 - 1), np.uint64(2**52)
+_E8, _E16, _E17 = np.uint64(10**8), np.uint64(10**16), np.uint64(10**17)
+_TEN = np.uint32(10)
+
+
+def _decimal(a: np.ndarray):
+    """(d, k): d = a * 10^(16 - k) rounded half-even, in [10^16, 10^17), computed exactly.
+
+    ``a`` holds positive float64 in the kernel range; d and k are the digits and the
+    exponent of ``'%.16e' % a``. No rounding there reaches 10^17: the one float64 in
+    10^-40..10^40 whose 17 digits carry into the next power of ten is the one nearest 1e-14.
+    """
+    bits = a.view(np.uint64)
+    m = ((bits & _FRACTION) | _IMPLICIT) << _TWO  # a = m * 2^(e - 1077), m < 2^55
+    m_hi, m_lo = m >> _B32, m & _LOW32
+    e = (bits >> _B52).astype(np.int64)
+    k = np.floor(np.log10(a)).astype(np.int64)  # a guess: the quotient test below decides
+    while True:
+        # a * 10^s = m * 5^s / 2^t with s = 16 - k; the product in two uint64 limbs.
+        p = _POW5[16 - k]
+        p_hi, p_lo = p >> _B32, p & _LOW32
+        lo = m_lo * p_lo
+        mid = m_lo * p_hi + m_hi * p_lo
+        hi = m_hi * p_hi + (mid >> _B32)
+        mid <<= _B32
+        lo += mid
+        hi += lo < mid  # carry out of the low limb
+        t = (1061 - e + k).astype(np.uint64)
+        q = (hi << (_B64 - t)) | (lo >> t)  # floor(a * 10^s)
+        low, high = q < _E16, q >= _E17
+        if not (low.any() or high.any()):
+            break
+        k += high
+        k -= low
+    rest, half = lo & ((_ONE << t) - _ONE), _ONE << (t - _ONE)
+    return q + ((rest > half) | (rest == half) & ((q & _ONE) == _ONE)), k
+
+
+def _exact_rows(block: np.ndarray, sep: str) -> str:
+    """``_format_rows`` of a block whose values all lie in the kernel range."""
+    rows, cols = block.shape
+    x = block.ravel()
+    zero = x == 0
+    d, k = _decimal(np.where(zero, 1.0, np.abs(x)))
+    d[zero] = 0
+    k[zero] = 0
+    # One uint8 plane per character position, one column per number, NUL where it has none.
+    tail = max(len(sep), 1)
+    planes = np.empty((23 + tail, x.size), np.uint8)
+    planes[0] = np.signbit(x) * np.uint8(ord("-"))
+    high, low = (part.astype(np.uint32) for part in np.divmod(d, _E8))  # 9 and 8 digits
+    for i in range(18, 10, -1):
+        low, planes[i] = np.divmod(low, _TEN)
+    for i in range(10, 2, -1):
+        high, planes[i] = np.divmod(high, _TEN)
+    planes[1] = high
+    planes[21:23] = np.divmod(np.abs(k), 10)
+    planes[1:23] += ord("0")
+    planes[2] = ord(".")
+    planes[19] = ord("e")
+    planes[20] = np.where(k < 0, ord("-"), ord("+"))
+    ends = planes[23:].reshape(tail, rows, cols)
+    ends[:, :, :-1] = np.frombuffer((sep or "\0").encode(), np.uint8)[:, None, None]
+    ends[:, :, -1] = 0
+    ends[0, :, -1] = ord("\n")
+    return planes.T.tobytes().replace(b"\0", b"").decode()
+
 
 def _format_rows(table: np.ndarray, sep: str) -> str:
     r"""The rows of a 2-d array as ``format_number`` text, ``sep`` between columns.
 
-    Equal to ``"\n".join(sep.join(map(format_number, row)) for row in table) + "\n"``.
+    Equal to ``"\n".join(sep.join(map(format_number, row)) for row in table) + "\n"``
+    for any ``sep`` without a newline or NUL. A row holding a value outside the
+    kernel's exact range is formatted by ``%`` instead.
     """
     row_format = sep.join(["%.16e"] * table.shape[1]) + "\n"
     chunks = []
     for start in range(0, len(table), _FORMAT_CHUNK_ROWS):
         block = table[start : start + _FORMAT_CHUNK_ROWS]
-        chunks.append((row_format * len(block)) % tuple(block.ravel().tolist()))
+        a = np.abs(block)
+        exact = ((a >= _EXACT_MIN) & (a < _EXACT_END) | (a == 0)).all(axis=1)
+        if exact.all():
+            chunks.append(_exact_rows(block, sep))
+            continue
+        lines = iter(_exact_rows(block[exact], sep).split("\n"))
+        chunks += [
+            next(lines) + "\n" if ok else row_format % tuple(row)
+            for ok, row in zip(exact, block.tolist())
+        ]
     return "".join(chunks) or "\n"
 
 

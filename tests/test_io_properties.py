@@ -4,11 +4,14 @@ The readers must agree with a token-by-token ``float`` oracle on every text:
 the same array bits, or a ValueError naming the oracle's first bad line.
 Valid texts are walked once; only a bad one gets the second, line-finding
 pass. The chunked writer must equal the per-number ``format_number`` join
-byte for byte. Only ValueError may escape the parsers of untrusted text.
+byte for byte, both on arbitrary floats and inside its exact kernel's range,
+and a deterministic sweep checks the kernel's rounding and exponent cases.
+Only ValueError may escape the parsers of untrusted text.
 """
 
 import json
 import re
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -151,6 +154,23 @@ def test_doubts_fall_back_to_numbered_errors(parse, body, message):
 FLOATS = st.floats(allow_nan=True, allow_infinity=True, width=64)
 
 
+def near(value, steps):
+    """The float ``steps`` representable values above ``value`` (below for steps < 0)."""
+    for _ in range(abs(steps)):
+        value = np.nextafter(value, np.inf if steps > 0 else 0.0)
+    return float(value)
+
+
+# Values the exact kernel formats itself: its whole range, the neighbours of
+# every power of ten in it, and zero, with either sign.
+NEAR_POWERS = [near(float(f"1e{k}"), steps) for k in range(-10, 16) for steps in range(-3, 4)]
+KERNEL_FLOATS = st.one_of(
+    st.floats(pio._EXACT_MIN, pio._EXACT_END, exclude_max=True),
+    st.floats(-pio._EXACT_END, -pio._EXACT_MIN, exclude_min=True),
+    st.sampled_from(NEAR_POWERS + [-v for v in NEAR_POWERS] + [0.0, -0.0]),
+)
+
+
 class TestChunkedWriter:
     @staticmethod
     def reference(table, sep):
@@ -168,6 +188,18 @@ class TestChunkedWriter:
         with mock.patch.object(pio, "_FORMAT_CHUNK_ROWS", chunk):
             assert pio._format_rows(table, sep) == self.reference(table, sep)
 
+    @SETTINGS
+    @given(
+        table=hnp.arrays(
+            np.float64, st.tuples(st.integers(1, 12), st.integers(1, 14)), elements=KERNEL_FLOATS
+        ),
+        chunk=st.sampled_from([1, 2, 3, 5, pio._FORMAT_CHUNK_ROWS]),
+        sep=st.sampled_from([" ", ",", ""]),
+    )
+    def test_kernel_range_equals_format_number_join(self, table, chunk, sep):
+        with mock.patch.object(pio, "_FORMAT_CHUNK_ROWS", chunk):
+            assert pio._format_rows(table, sep) == self.reference(table, sep)
+
     @pytest.mark.parametrize("offset", [-1, 0, 1, pio._FORMAT_CHUNK_ROWS + 1])
     def test_default_chunk_boundaries(self, offset):
         n = pio._FORMAT_CHUNK_ROWS + offset
@@ -182,6 +214,81 @@ class TestChunkedWriter:
             [[0.1, -0.0, 5e-324]], " "
         )
         assert write_scores(ScoreVector([], RAW_SALIENCY)) == "\n"
+
+
+def sweep_tables():
+    """Deterministic tables for the kernel, each paired with a short name."""
+    rng = np.random.default_rng(20260)
+    patterns = rng.integers(0, 2**64, size=101_000, dtype=np.uint64).view(np.float64)
+    patterns = patterns[np.isfinite(patterns)][:100_000]
+    # Random significands and signs with the binary exponent inside the kernel range.
+    exponents = rng.integers(1023 - 36, 1023 + 53, size=100_000, dtype=np.uint64)
+    mantissas = rng.integers(0, 2**52, size=100_000, dtype=np.uint64)
+    signs = rng.integers(0, 2, size=100_000, dtype=np.uint64) << np.uint64(63)
+    in_range = (signs | exponents << np.uint64(52) | mantissas).view(np.float64)
+    # Odd m * 2^-j with 18 - j integer digits: 18 significant digits ending in 5,
+    # so each 17-digit rounding is an exact tie.
+    ties = []
+    for j in range(2, 6):
+        low, end = 2**j * 10 ** (17 - j), min(2**j * 10 ** (18 - j), 2**53)
+        odd = rng.integers(low // 2, end // 2, size=5_000, dtype=np.int64) * 2 + 1
+        ties.append(np.ldexp(odd.astype(np.float64), -j))
+    ties = np.concatenate(ties)
+    powers = [float(f"1e{k}") for k in range(-20, 21)]
+    neighbours = [near(p, step) for p in powers for step in (-1, 0, 1)]
+    specials = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                np.inf, -np.inf, np.nan]
+    mixed = {}
+    for width in (1, 3, 14):
+        rows = []
+        for col in range(width):
+            for outside in specials[2:] + [1e-14, -1e-12, 2.0**53, -1e16]:
+                row = in_range[:width].copy()
+                row[col] = outside
+                rows += [in_range[width : 2 * width], row]
+        mixed[f"mixed-{width}"] = np.array(rows)
+    chunk = pio._FORMAT_CHUNK_ROWS
+    straddle = np.resize(in_range, (chunk + 3, 3))
+    straddle[chunk - 1, 0] = straddle[chunk + 1, 0] = np.nan
+    return [
+        ("patterns", patterns[:, None]),
+        ("in-range", in_range.reshape(-1, 4)),
+        ("ties", np.concatenate([ties, -ties]).reshape(-1, 5)),
+        ("powers", np.array(neighbours + [-v for v in neighbours]).reshape(-1, 3)),
+        ("specials", np.array(specials + [-v for v in specials])[:, None]),
+        *mixed.items(),
+        ("straddle", straddle),
+        ("straddle-exact", straddle[:, 1:]),
+    ]
+
+
+SWEEP = sweep_tables()
+
+
+@pytest.mark.parametrize("sep", [" ", ",", ""], ids=["space", "comma", "empty"])
+@pytest.mark.parametrize("table", [t for _, t in SWEEP], ids=[name for name, _ in SWEEP])
+def test_exactness_sweep(table, sep):
+    """The writer against a per-number ``%.16e``, over the kernel's hard cases."""
+    row_format = sep.join(["%.16e"] * table.shape[1]) + "\n"
+    expected = (row_format * len(table)) % tuple(table.ravel().tolist())
+    # Compared as lines, so that a failure names the first bad row without a slow text diff.
+    assert pio._format_rows(table, sep).split("\n") == expected.split("\n")
+
+
+def test_no_kernel_value_carries_to_next_power():
+    """The kernel needs no carry rule: no 17-digit rounding in its range reaches 10^17.
+
+    Only the largest float64 below a power of ten can round up to it, and of
+    those in 1e-40..1e40 only the one nearest 1e-14 does; it lies below the range.
+    """
+    carries = []
+    for k in range(-40, 41):
+        nearest = float(f"1e{k}")
+        below = nearest if Fraction(nearest) < Fraction(10) ** k else near(nearest, -1)
+        if format_number(below).startswith("1.0000000000000000e"):
+            carries.append(below)
+    assert carries == [1e-14]
+    assert not pio._EXACT_MIN <= 1e-14 < pio._EXACT_END
 
 
 JSON_SCALARS = st.one_of(
