@@ -90,14 +90,15 @@ class FeatureMatrix:
         return self.values[:, FEATURE_NAMES.index(name)]
 
 
-def _block_pcg(system: sp.csr_matrix, rhs: np.ndarray, diag: np.ndarray, max_iter: int):
+def _block_pcg(system: sp.csr_matrix, rhs: np.ndarray, max_iter: int):
     """Jacobi-preconditioned CG on every column of ``rhs`` at once, from x0 = rhs.
 
-    The columns share one sparse matvec per step but keep their own step
-    sizes. A column stops once ||r|| <= _PCG_RTOL ||rhs||; it is then frozen
-    by a mask, so an all-zero column (r = 0 from the start) never divides
+    The preconditioner is the diagonal of ``system``. The columns share one sparse matvec
+    per step but keep their own step sizes. A column stops once ||r|| <= _PCG_RTOL ||rhs||;
+    it is then frozen by a mask, so an all-zero column (r = 0 from the start) never divides
     0 by 0. Returns None if any column is still running after ``max_iter``.
     """
+    diag = system.diagonal()
     x = rhs.copy()
     r = rhs - system @ x
     z = r / diag[:, None]
@@ -132,6 +133,8 @@ def lpf_solve(graph: NeighborhoodGraph, cloud: PointCloud, gamma: float) -> np.n
     way the residual is checked, which guards both solvers. All three work in
     per-column power-of-two units (the scale rule of ``io``).
     """
+    if graph.n != cloud.n:
+        raise ValueError(f"graph has {graph.n} nodes but the cloud has {cloud.n} points")
     gamma_dmax = gamma * float(graph.degrees.max())
     kappa = 1.0 + 2.0 * gamma_dmax  # ||I + gamma L||, which bounds its condition number
     if not (gamma > 0 and kappa < math.inf):
@@ -144,7 +147,7 @@ def lpf_solve(graph: NeighborhoodGraph, cloud: PointCloud, gamma: float) -> np.n
         # ln(2 kappa / rtol) steps at condition number kappa; reaching the
         # cap means rounding has stalled it.
         max_iter = math.ceil(0.5 * math.sqrt(kappa) * math.log(2.0 * kappa / _PCG_RTOL))
-        qstar = _block_pcg(system, b, 1.0 + gamma * graph.degrees, max_iter)
+        qstar = _block_pcg(system, b, max_iter)
     if qstar is None:
         try:  # splu raises RuntimeError on a matrix singular in floating point
             qstar = splu(system.tocsc()).solve(b)
@@ -169,7 +172,7 @@ def ball_count(cloud: PointCloud, r: float) -> np.ndarray:
     """Points within the closed ball of radius r around each point, self included (f11)."""
     if not r > 0:
         raise ValueError(f"ball radius must be positive, got {r}")
-    points, exponent = _to_units(cloud.points)
+    points, exponent = cloud._units
     with np.errstate(over="ignore"):  # a radius of inf units counts every point, as it should
         radius = np.ldexp(r, -exponent)
     counts = cKDTree(points).query_ball_point(
@@ -200,11 +203,12 @@ def extract_features(
         Radius of the closed counting ball.
     """
     graph = build_knn_graph(cloud, k=k, sigma=sigma)
-    points, exponent = _to_units(cloud.points)
+    points, exponent = cloud._units
     transition, laplacian = graph.transition, graph.laplacian
     pbar = transition @ points
     ptilde = laplacian @ points
     v = np.linalg.norm(points - pbar, axis=1)
+    # The unit cloud, not ``cloud``: q* comes back in units, unrounded at any cloud scale.
     h = np.linalg.norm(points - lpf_solve(graph, PointCloud(points), gamma), axis=1)
     vh = np.column_stack([v, h])
     vh_bar = transition @ vh

@@ -143,9 +143,7 @@ def build_knn_graph(cloud: PointCloud, k: int, sigma: float | None = None) -> Ne
     if sigma is not None and not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
 
-    # Every length and width below is in the cloud's power-of-two units.
-    points, exponent = _to_units(cloud.points)
-    exponent = int(exponent)  # math.ldexp takes only a Python int
+    points, exponent = cloud._units  # every length and width below is in these units
 
     # Union symmetrization: K + K^T holds each pair twice; its upper entries (i < j) once.
     neighbors = np.sort(_knn_select(points, k), axis=1).ravel()

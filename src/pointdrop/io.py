@@ -24,8 +24,8 @@ pass walk the lines; it uses the same conversion, builds no rows, and only
 finds the first bad line to name it in the error.
 
 Scale rule: every stage that squares a length works in the exact units of
-``_to_units``, so no coordinate, feature or target scale underflows or
-overflows.
+``_to_units`` (a cloud's are taken once, shared read-only: ``PointCloud._units``),
+so no coordinate, feature or target scale underflows or overflows.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +58,7 @@ class PointCloud:
 
     File ingestion requires n >= 2; attack outputs may transiently hold a
     single surviving point, so the constructor itself only requires n >= 1.
+    Its power-of-two units, ``_units``, are taken once and shared read-only.
     """
 
     points: np.ndarray
@@ -74,6 +76,13 @@ class PointCloud:
     @property
     def n(self) -> int:
         return self.points.shape[0]
+
+    @cached_property
+    def _units(self) -> tuple[np.ndarray, int]:
+        """(points / 2^e, e) by ``_to_units``, the array read-only and e a Python int."""
+        units, exponent = _to_units(self.points)
+        units.setflags(write=False)
+        return units, int(exponent)
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,9 +387,9 @@ def normalize_cloud(cloud: PointCloud) -> PointCloud:
     Idempotent to within 1e-12, and exactly invariant under power-of-two
     rescaling. Raises on a degenerate cloud whose points all coincide.
     """
-    pts = _to_units(cloud.points)[0]
-    if (pts == pts[0]).all():  # exact: a rounded mean would leave a scalable offset
+    units = cloud._units[0]
+    if (units == units[0]).all():  # exact: a rounded mean would leave a scalable offset
         raise ValueError("degenerate cloud: all points coincide")
-    pts -= pts.mean(axis=0)
+    pts = units - units.mean(axis=0)  # a new array: the cloud's units stay as they are
     _to_units(pts, out=pts)  # offsets far below the coordinates square without underflow
     return PointCloud(pts / np.linalg.norm(pts, axis=1).max())

@@ -1,6 +1,7 @@
 """The fourteen per-point features against hand values and the naive oracle."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from pointdrop import (
     extract_features,
     features_to_csv,
     lpf_solve,
+    normalize_cloud,
 )
+from pointdrop.io import _to_units
 from test_acceptance import box_cloud
 
 PATH3 = PointCloud([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
@@ -265,7 +268,7 @@ class TestLpfSolvers:
 
     def test_nan_solution_fails_residual_check(self, monkeypatch):
         monkeypatch.setattr(
-            features, "_block_pcg", lambda system, rhs, diag, max_iter: np.full_like(rhs, np.nan)
+            features, "_block_pcg", lambda system, rhs, max_iter: np.full_like(rhs, np.nan)
         )
         cloud = box_cloud(np.random.default_rng(35), n=64)
         g = build_knn_graph(cloud, k=10)
@@ -284,11 +287,20 @@ class TestLpfSolvers:
     def test_wrong_solution_fails_residual_check_at_tiny_scale(self, monkeypatch):
         # At 1e-165 every squared residual entry underflows to 0; the check
         # must still see that q = 2p does not solve the system.
-        monkeypatch.setattr(features, "_block_pcg", lambda system, rhs, diag, max_iter: 2 * rhs)
+        monkeypatch.setattr(features, "_block_pcg", lambda system, rhs, max_iter: 2 * rhs)
         cloud = PointCloud(np.random.default_rng(34).normal(size=(64, 3)) * 1e-165)
         g = build_knn_graph(cloud, k=6)
         with pytest.raises(ValueError, match="low-pass solve failed"):
             lpf_solve(g, cloud, 0.5)
+
+    @pytest.mark.parametrize("gamma", [0.5, 1e9])  # the CG path and the LU path
+    def test_graph_and_cloud_sizes_must_match(self, lu_calls, gamma):
+        g = build_knn_graph(box_cloud(np.random.default_rng(36), n=64), k=10)
+        cloud = box_cloud(np.random.default_rng(37), n=63)
+        with pytest.raises(ValueError, match="graph has 64 nodes but the cloud has 63 points"):
+            lpf_solve(g, cloud, gamma)
+        assert lu_calls == []
+
 
 class TestScalarFeatures:
     def test_centroid_point_zero(self):
@@ -438,6 +450,68 @@ class TestPowerOfTwoScales:
             ball_count(PointCloud(np.ldexp(pts, 540)), np.ldexp(0.5, 540)), unit
         )
         assert 1 < np.median(unit) < 1024
+
+
+def _graph_bytes(g):
+    return (g.n, g.sigma, g.degrees.tobytes()) + tuple(
+        part.tobytes() for part in (g.adjacency.data, g.adjacency.indices, g.adjacency.indptr)
+    )
+
+
+class TestSharedUnits:
+    # A cloud's power-of-two units are taken once, cached read-only on the
+    # cloud, and read by every stage.
+    def test_extract_features_scales_the_cloud_once(self, monkeypatch):
+        whole = []
+
+        def counting(x, axis=None, out=None):
+            if axis is None and np.shape(x)[1:] == (3,):
+                whole.append(np.shape(x))
+            return _to_units(x, axis=axis, out=out)
+
+        # Every module attribute that holds the function, where its callers look it up.
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "pointdrop"]
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is _to_units:
+                    monkeypatch.setattr(module, key, counting)
+        cloud = box_cloud(np.random.default_rng(50), n=256)
+        extract_features(cloud)
+        assert whole == [(256, 3)]
+        extract_features(cloud, k=6, ball_radius=0.2)
+        assert whole == [(256, 3)]
+
+    def test_units_are_read_only(self):
+        units, exponent = random_cloud(51)._units
+        assert type(exponent) is int
+        with pytest.raises(ValueError, match="read-only"):
+            units[0] = 0.0
+
+    def test_normalize_cloud_leaves_units(self):
+        cloud = PointCloud(np.ldexp(np.random.default_rng(52).normal(size=(64, 3)), 700))
+        units, exponent = cloud._units
+        before = units.tobytes()
+        normalize_cloud(cloud)
+        assert cloud._units[0].tobytes() == before
+        assert cloud._units[1] == exponent == 702
+
+    @pytest.mark.parametrize("e", [-1000, 0, 3, 700])
+    def test_stages_agree_on_used_and_fresh_clouds(self, e):
+        pts = np.ldexp(np.random.default_rng(53).normal(size=(128, 3)), e)
+        used = PointCloud(pts)
+        normalize_cloud(used)  # takes the units first
+        radius = np.ldexp(0.3, e)
+        for _ in range(2):
+            fresh = PointCloud(pts)
+            assert _graph_bytes(build_knn_graph(used, k=8)) == _graph_bytes(
+                build_knn_graph(fresh, k=8)
+            )
+            assert ball_count(used, radius).tobytes() == ball_count(fresh, radius).tobytes()
+            fresh = PointCloud(pts)
+            assert (
+                extract_features(used, ball_radius=radius).values.tobytes()
+                == extract_features(fresh, ball_radius=radius).values.tobytes()
+            )
 
 
 class TestCsv:
