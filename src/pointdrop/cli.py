@@ -175,18 +175,22 @@ def _featurize_corpus(pairs, args: argparse.Namespace) -> list:
     # on every fit, and the shares run only numeric code.
     if "fork" not in multiprocessing.get_all_start_methods():
         return _featurize(pairs, args)
-    from concurrent.futures.process import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     shares = [pairs[i * n // workers : (i + 1) * n // workers] for i in range(workers)]
     before = set(multiprocessing.active_children())
     with ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-        children = pool.map(_featurize_share, shares[1:], repeat(args))
         try:
+            children = pool.map(_featurize_share, shares[1:], repeat(args))
             own = contextvars.copy_context().run(_featurize_share, shares[0], args)
             return list(chain(own, *children))
-        except BaseException:  # leaving the pool would wait for every running share
+        except BaseException as exc:  # leaving the pool would wait for every running share
             for child in set(multiprocessing.active_children()) - before:
                 child.terminate()
+            if isinstance(exc, BrokenProcessPool):  # a RuntimeError; main reports an OSError
+                raise ChildProcessError(
+                    "a forked share of the corpus ended without its result"
+                ) from exc
             raise
 
 

@@ -13,8 +13,8 @@ bit-exact. Rows are written in blocks, byte for byte what ``format_number``
 gives, by an exact numpy kernel: each |x| becomes an integer times a power of
 two, its product with 5^s is formed in two uint64 limbs, and the 17 digits
 are the quotient, rounded half-even from the exact remainder. Its range is
-2^-36 <= |x| < 2^53 (about 1.5e-11 to 9.0e15) and ±0; a row holding any
-other value (smaller, larger, subnormal, inf or nan) is written by ``%``.
+2^-36 <= |x| < 2^53 (about 1.5e-11 to 9.0e15) and ±0; a 1024-row block holding
+any other value (smaller, larger, subnormal, inf or nan) is written wholly by ``%``.
 
 The readers share one blank/comment rule (``_data_lines``) and one
 converter: every data line is split and all tokens go through a single numpy
@@ -243,9 +243,9 @@ def _exact_rows(block: np.ndarray, sep: str) -> str:
     d, k = _decimal(np.where(zero, 1.0, np.abs(x)))
     d[zero] = 0
     k[zero] = 0
-    # One uint8 plane per character position, one column per number, NUL where it has none.
-    tail = max(len(sep), 1)
-    planes = np.empty((23 + tail, x.size), np.uint8)
+    # One uint8 plane per character position, one column per number, NUL where it has none;
+    # the last plane holds ``sep``, or a newline ending a row.
+    planes = np.empty((24, x.size), np.uint8)
     planes[0] = np.signbit(x) * np.uint8(ord("-"))
     high, low = (part.astype(np.uint32) for part in np.divmod(d, _E8))  # 9 and 8 digits
     for i in range(18, 10, -1):
@@ -258,10 +258,9 @@ def _exact_rows(block: np.ndarray, sep: str) -> str:
     planes[2] = ord(".")
     planes[19] = ord("e")
     planes[20] = np.where(k < 0, ord("-"), ord("+"))
-    ends = planes[23:].reshape(tail, rows, cols)
-    ends[:, :, :-1] = np.frombuffer((sep or "\0").encode(), np.uint8)[:, None, None]
-    ends[:, :, -1] = 0
-    ends[0, :, -1] = ord("\n")
+    ends = planes[23].reshape(rows, cols)
+    ends[:] = ord(sep)
+    ends[:, -1] = ord("\n")
     return planes.T.tobytes().replace(b"\0", b"").decode()
 
 
@@ -269,23 +268,18 @@ def _format_rows(table: np.ndarray, sep: str) -> str:
     r"""The rows of a 2-d array as ``format_number`` text, ``sep`` between columns.
 
     Equal to ``"\n".join(sep.join(map(format_number, row)) for row in table) + "\n"``
-    for any ``sep`` without a newline or NUL. A row holding a value outside the
-    kernel's exact range is formatted by ``%`` instead.
+    for ``sep`` one ASCII character other than NUL or newline. A block of rows holding a
+    value outside the kernel's exact range is written wholly by ``%``.
     """
     row_format = sep.join(["%.16e"] * table.shape[1]) + "\n"
     chunks = []
     for start in range(0, len(table), _FORMAT_CHUNK_ROWS):
         block = table[start : start + _FORMAT_CHUNK_ROWS]
         a = np.abs(block)
-        exact = ((a >= _EXACT_MIN) & (a < _EXACT_END) | (a == 0)).all(axis=1)
-        if exact.all():
+        if ((a >= _EXACT_MIN) & (a < _EXACT_END) | (a == 0)).all():
             chunks.append(_exact_rows(block, sep))
-            continue
-        lines = iter(_exact_rows(block[exact], sep).split("\n"))
-        chunks += [
-            next(lines) + "\n" if ok else row_format % tuple(row)
-            for ok, row in zip(exact, block.tolist())
-        ]
+        else:
+            chunks.append(row_format * len(block) % tuple(block.ravel().tolist()))
     return "".join(chunks) or "\n"
 
 
@@ -304,7 +298,7 @@ def parse_scores(text: str, n: int | None = None) -> ScoreVector:
 
 def write_scores(scores: ScoreVector) -> str:
     """Serialize scores one per line at full round-trip precision."""
-    return _format_rows(scores.values[:, None], "")
+    return _format_rows(scores.values[:, None], " ")
 
 
 def load_coefficients(text: str) -> CoefficientSet:

@@ -3,6 +3,7 @@
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -407,6 +408,23 @@ class TestFitPool:
         start = time.perf_counter()
         assert self.fit(capsys, monkeypatch, 3, cloud_dir, scores_dir) == serial
         assert time.perf_counter() - start < nap
+        assert multiprocessing.active_children() == []
+        assert shares == [2, 2]
+
+    def test_killed_share_is_an_error(self, capsys, monkeypatch, tmp_path, shares):
+        # Forked shares kill themselves, as the OOM killer would: fit exits 2 with
+        # one error line, not a traceback, and leaves no process behind.
+        cloud_dir, scores_dir = self.setup_corpus(tmp_path)
+        parent, featurize = os.getpid(), cli_module._featurize
+
+        def killed_children(pairs, args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return featurize(pairs, args)
+
+        monkeypatch.setattr(cli_module, "_featurize", killed_children)
+        expected = "error: a forked share of the corpus ended without its result\n"
+        assert self.fit(capsys, monkeypatch, 3, cloud_dir, scores_dir) == (2, "", expected)
         assert multiprocessing.active_children() == []
         assert shares == [2, 2]
 

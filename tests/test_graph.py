@@ -239,6 +239,14 @@ class TestKnnSelection:
         assert workers(lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})) == 1
         assert workers() == len(os.sched_getaffinity(0))
 
+    def test_usable_cpus_without_affinity_mask(self, monkeypatch):
+        # Where the OS has no affinity mask, every CPU counts, and at least one.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert graph_module._usable_cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert graph_module._usable_cpus() == 1
+
     @pytest.mark.parametrize(
         "scale", [2.0**-1000, 2.0**700, 1e200, 1e-300], ids=["2^-1000", "2^700", "1e200", "1e-300"]
     )
