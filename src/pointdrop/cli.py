@@ -90,7 +90,7 @@ def _feature_options(args: argparse.Namespace) -> dict:
 
 
 def _read_cloud(path: str, normalize: bool):
-    cloud = parse_xyz(Path(path).read_text())
+    cloud = parse_xyz(Path(path).read_text(encoding="utf-8"))
     return normalize_cloud(cloud) if normalize else cloud
 
 
@@ -100,7 +100,7 @@ def _emit(result: str, output: str | None, report: str = "") -> None:
         sys.stdout.write(result)
         sys.stderr.write(report)
     else:
-        Path(output).write_text(result)
+        Path(output).write_text(result, encoding="utf-8")
         sys.stdout.write(report)
 
 
@@ -109,7 +109,7 @@ def _resolve_coefficients(source: str) -> CoefficientSet:
         return get_preset(source)
     path = Path(source)
     if path.exists():
-        return load_coefficients(path.read_text())
+        return load_coefficients(path.read_text(encoding="utf-8"))
     known = ", ".join(preset_names())
     raise ValueError(
         f"{source!r} is neither a bundled preset nor an existing file; presets: {known}"
@@ -144,7 +144,7 @@ def _featurize(pairs, args: argparse.Namespace) -> list:
     for cloud_path, score_path in pairs:
         try:
             cloud = _read_cloud(str(cloud_path), args.normalize)
-            z = normalize_scores(parse_scores(score_path.read_text(), cloud.n))
+            z = normalize_scores(parse_scores(score_path.read_text(encoding="utf-8"), cloud.n))
             feats = extract_features(cloud, **_feature_options(args))
             blocks.append(select_top_targets(z, feats, args.top_n))
         except ValueError as exc:
@@ -238,8 +238,8 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _cmd_overlap(args: argparse.Namespace) -> int:
-    scores_a = parse_scores(Path(args.scores_a).read_text())
-    scores_b = parse_scores(Path(args.scores_b).read_text())
+    scores_a = parse_scores(Path(args.scores_a).read_text(encoding="utf-8"))
+    scores_b = parse_scores(Path(args.scores_b).read_text(encoding="utf-8"))
     if scores_a.n != scores_b.n:
         raise ValueError(f"score files differ in length: {scores_a.n} vs {scores_b.n}")
     lines = ["N,overlap_percent"]

@@ -97,9 +97,11 @@ class NeighborhoodGraph:
 def _knn_select(points: np.ndarray, k: int) -> np.ndarray:
     """Indices of each point's k nearest neighbors, ordered by (distance, index).
 
-    A row is settled once the tie group at its k-th distance lies inside the
-    query window (that distance is below the window's last) or the window
+    Each query window is sorted by (not self, distance, index) and its columns
+    1..k taken. A row is settled once the tie group at its k-th distance lies
+    inside the window (that distance is below the window's last) or the window
     spans the cloud; only unsettled rows are queried again, at twice the window.
+    A window without self holds only distance-0 points, so it never settles.
     """
     n = len(points)
     tree = cKDTree(points)
@@ -109,16 +111,10 @@ def _knn_select(points: np.ndarray, k: int) -> np.ndarray:
     workers = _tree_workers(n)
     while rows.size:
         dist, nbr = tree.query(points[rows], k=kq, workers=workers)
-        # Reordering within ties leaves the ascending distances in place.
-        nbr = np.take_along_axis(nbr, np.lexsort((nbr, dist)), axis=1)
-        # Drop the self entry; under heavy duplication self may be absent
-        # from the window, in which case the farthest candidate goes instead.
-        keep = nbr != rows[:, None]
-        keep[keep.all(axis=1), -1] = False
-        nbr = nbr[keep].reshape(len(rows), kq - 1)
-        # dist[:, k] is the k-th neighbor's distance; all are 0 if self fell outside the window.
+        nbr = np.take_along_axis(nbr, np.lexsort((nbr, dist, nbr != rows[:, None])), axis=1)
+        # dist stays as queried, self's 0 among it: dist[:, k] is the k-th neighbor's distance.
         settled = (dist[:, k] < dist[:, -1]) | (kq >= n)
-        selected[rows[settled]] = nbr[settled, :k]
+        selected[rows[settled]] = nbr[settled, 1 : k + 1]
         rows = rows[~settled]
         kq = min(n, 2 * kq)
     return selected

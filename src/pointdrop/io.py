@@ -1,6 +1,6 @@
 """Reading, writing, and validating point clouds, score vectors, and coefficient sets.
 
-Text formats:
+Text formats, all UTF-8:
   * ``.xyz`` clouds: one point per line, three whitespace-separated decimals,
     ``#``-prefixed comment lines and blank lines skipped.
   * score files: one decimal per line.
@@ -196,8 +196,7 @@ _FORMAT_CHUNK_ROWS = 1024
 _EXACT_MIN, _EXACT_END = 2.0**-36, 2.0**53
 # Only uint64 operands: numpy 1.x turns uint64 mixed with int64 into float64.
 _POW5 = np.array([5**s for s in range(28)], dtype=np.uint64)
-_ONE, _TWO, _B32, _B52, _B64 = (np.uint64(b) for b in (1, 2, 32, 52, 64))
-_LOW32, _FRACTION, _IMPLICIT = np.uint64(2**32 - 1), np.uint64(2**52 - 1), np.uint64(2**52)
+_ONE, _B32, _B64, _LOW32 = (np.uint64(b) for b in (1, 32, 64, 2**32 - 1))
 _E8, _E16, _E17 = np.uint64(10**8), np.uint64(10**16), np.uint64(10**17)
 _TEN = np.uint32(10)
 
@@ -209,10 +208,9 @@ def _decimal(a: np.ndarray):
     exponent of ``'%.16e' % a``. No rounding there reaches 10^17: the one float64 in
     10^-40..10^40 whose 17 digits carry into the next power of ten is the one nearest 1e-14.
     """
-    bits = a.view(np.uint64)
-    m = ((bits & _FRACTION) | _IMPLICIT) << _TWO  # a = m * 2^(e - 1077), m < 2^55
+    f, e = np.frexp(a)
+    m = np.ldexp(f, 55).astype(np.uint64)  # a = m * 2^(e - 55), m < 2^55
     m_hi, m_lo = m >> _B32, m & _LOW32
-    e = (bits >> _B52).astype(np.int64)
     k = np.floor(np.log10(a)).astype(np.int64)  # a guess: the quotient test below decides
     while True:
         # a * 10^s = m * 5^s / 2^t with s = 16 - k; the product in two uint64 limbs.
@@ -224,7 +222,7 @@ def _decimal(a: np.ndarray):
         mid <<= _B32
         lo += mid
         hi += lo < mid  # carry out of the low limb
-        t = (1061 - e + k).astype(np.uint64)
+        t = (39 - e + k).astype(np.uint64)
         q = (hi << (_B64 - t)) | (lo >> t)  # floor(a * 10^s)
         low, high = q < _E16, q >= _E17
         if not (low.any() or high.any()):

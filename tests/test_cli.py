@@ -105,6 +105,32 @@ class TestFeaturesCommand:
         assert err.startswith("error:")
         assert str(missing) in err
 
+    def test_utf8_cloud_under_ascii_locale(self, tmp_path):
+        # Files are UTF-8 whatever the locale: under the C locale without
+        # UTF-8 mode, a comment outside ASCII reads and the CSV is unchanged.
+        body = write_xyz(random_cloud(4, n=30))
+        plain, accented = tmp_path / "plain.xyz", tmp_path / "accented.xyz"
+        plain.write_bytes(body.encode())
+        accented.write_bytes(("# télémètre Á\n" + body).encode("utf-8"))
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(pointdrop.__file__).parents[1]),
+            "LC_ALL": "C",
+            "PYTHONCOERCECLOCALE": "0",
+            "PYTHONUTF8": "0",
+        }
+        outputs = []
+        for cloud in (plain, accented):
+            out = tmp_path / f"{cloud.stem}.csv"
+            done = subprocess.run(
+                [sys.executable, "-m", "pointdrop.cli", "features", str(cloud), "--k", "5",
+                 "--output", str(out)],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_malformed_cloud(self, capsys, tmp_path):
         path = tmp_path / "bad.xyz"
         path.write_text("1 2 3\n4 5\n")

@@ -147,6 +147,21 @@ def int_lattice(side):
     return np.array(np.meshgrid(axes, axes, axes, indexing="ij")).reshape(3, -1).T
 
 
+@pytest.fixture
+def tree_queries(monkeypatch):
+    """The graph's k-d tree queries, as (query rows, k, neighbor indices) in call order."""
+    calls = []
+
+    class RecordingTree(graph_module.cKDTree):
+        def query(self, x, k=1, **kwargs):
+            dist, nbr = super().query(x, k=k, **kwargs)
+            calls.append((len(x), k, nbr))
+            return dist, nbr
+
+    monkeypatch.setattr(graph_module, "cKDTree", RecordingTree)
+    return calls
+
+
 class TestKnnSelection:
     def assert_matches_naive(self, pts, k):
         expected = oracles.naive_knn(pts.tolist(), k)
@@ -165,28 +180,26 @@ class TestKnnSelection:
     def test_integer_lattice(self, k):
         self.assert_matches_naive(int_lattice(6), k)
 
-    def test_coincident_block_among_random(self):
+    def test_coincident_block_among_random(self, tree_queries):
         rng = np.random.default_rng(41)
         pts = np.vstack([np.full((30, 3), 0.25), rng.normal(size=(100, 3))])
         for k in (5, 29, 30, 31):
             self.assert_matches_naive(pts, k)
+        # The first k = 5 window holds 7 of the 30 coincident points, so some
+        # rows of the block miss themselves; the settle rule re-queries those.
+        _, kq, window = tree_queries[0]
+        assert kq == 7
+        assert (window != np.arange(len(pts))[:, None]).all(axis=1).any()
 
     def test_k_is_n_minus_one(self):
         pts = np.vstack([int_lattice(2), [[0.5, 0.5, 0.5]]])
         self.assert_matches_naive(pts, len(pts) - 1)
 
-    def test_only_tied_rows_widen(self, monkeypatch):
-        calls = []
-
-        class RecordingTree(graph_module.cKDTree):
-            def query(self, x, k=1, **kwargs):
-                calls.append((len(x), k))
-                return super().query(x, k=k, **kwargs)
-
-        monkeypatch.setattr(graph_module, "cKDTree", RecordingTree)
+    def test_only_tied_rows_widen(self, tree_queries):
         pts = int_lattice(6)
         n = len(pts)
         build_knn_graph(PointCloud(pts), k=6)
+        calls = [(rows, k) for rows, k, _ in tree_queries]
         assert calls[0] == (n, 8)
         assert len(calls) > 1
         assert all(rows < n for rows, _ in calls[1:])
