@@ -12,6 +12,9 @@ through --seed. ``fit`` featurizes its corpus across up to one process per
 usable CPU and fits once on the pooled blocks in sorted order, so its bytes
 do not depend on the CPU count.
 
+Input rule: ``_read_text`` reads every input file as UTF-8, skipping a BOM;
+a file not UTF-8 is an error naming it. ``main`` alone sets the exit status.
+
 Output rule, the same for every command: the result (CSV, coefficient
 JSON, cloud or overlap table) goes to --output, else to stdout; the report
 of fit and attack goes to stdout when the result went to a file, else to
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextvars
+import os
 import sys
 from functools import cache
 from itertools import chain, repeat
@@ -89,8 +93,15 @@ def _feature_options(args: argparse.Namespace) -> dict:
     return dict(k=args.k, sigma=args.sigma, gamma=args.gamma, ball_radius=args.ball_radius)
 
 
-def _read_cloud(path: str, normalize: bool):
-    cloud = parse_xyz(Path(path).read_text(encoding="utf-8"))
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_cloud(path, normalize: bool):
+    cloud = parse_xyz(_read_text(path))
     return normalize_cloud(cloud) if normalize else cloud
 
 
@@ -107,20 +118,17 @@ def _emit(result: str, output: str | None, report: str = "") -> None:
 def _resolve_coefficients(source: str) -> CoefficientSet:
     if source in preset_names():
         return get_preset(source)
-    path = Path(source)
-    if path.exists():
-        return load_coefficients(path.read_text(encoding="utf-8"))
+    if Path(source).exists():
+        return load_coefficients(_read_text(source))
     known = ", ".join(preset_names())
     raise ValueError(
         f"{source!r} is neither a bundled preset nor an existing file; presets: {known}"
     )
 
 
-def _cmd_features(args: argparse.Namespace) -> int:
+def _cmd_features(args: argparse.Namespace) -> None:
     cloud = _read_cloud(args.cloud, args.normalize)
-    feats = extract_features(cloud, **_feature_options(args))
-    _emit(features_to_csv(feats), args.output)
-    return 0
+    _emit(features_to_csv(extract_features(cloud, **_feature_options(args))), args.output)
 
 
 def _pair_corpus(cloud_dir: str, scores_dir: str):
@@ -143,8 +151,8 @@ def _featurize(pairs, args: argparse.Namespace) -> list:
     blocks = []
     for cloud_path, score_path in pairs:
         try:
-            cloud = _read_cloud(str(cloud_path), args.normalize)
-            z = normalize_scores(parse_scores(score_path.read_text(encoding="utf-8"), cloud.n))
+            cloud = _read_cloud(cloud_path, args.normalize)
+            z = normalize_scores(parse_scores(_read_text(score_path), cloud.n))
             feats = extract_features(cloud, **_feature_options(args))
             blocks.append(select_top_targets(z, feats, args.top_n))
         except ValueError as exc:
@@ -167,14 +175,11 @@ def _featurize_corpus(pairs, args: argparse.Namespace) -> list:
     """
     n = len(pairs)
     workers = min(_usable_cpus(), n // _MIN_CLOUDS_PER_PROCESS)
-    if workers <= 1:
-        return _featurize(pairs, args)
-    import multiprocessing
-
     # fork, not spawn: a spawned process would import numpy and scipy afresh
     # on every fit, and the shares run only numeric code.
-    if "fork" not in multiprocessing.get_all_start_methods():
+    if workers <= 1 or not hasattr(os, "fork"):
         return _featurize(pairs, args)
+    import multiprocessing
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     shares = [pairs[i * n // workers : (i + 1) * n // workers] for i in range(workers)]
@@ -194,7 +199,7 @@ def _featurize_corpus(pairs, args: argparse.Namespace) -> list:
             raise
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
+def _cmd_fit(args: argparse.Namespace) -> None:
     _check_alpha(args.alpha)
     pairs = _pair_corpus(args.cloud_dir, args.scores_dir)
     xs, ys = zip(*_featurize_corpus(pairs, args))
@@ -205,7 +210,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     )
     coefficients = write_coefficients(fit.to_coefficient_set(provenance))
     _emit(coefficients, args.output, f"{provenance}\n{fit_report(fit)}")
-    return 0
 
 
 def _attack_report(result: AttackResult, provenance: str) -> str:
@@ -224,7 +228,7 @@ def _attack_report(result: AttackResult, provenance: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_attack(args: argparse.Namespace) -> int:
+def _cmd_attack(args: argparse.Namespace) -> None:
     cloud = _read_cloud(args.cloud, args.normalize)
     if args.random:
         result = random_drop(cloud, args.top_n, args.seed)
@@ -234,12 +238,10 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         result = drop_attack(cloud, coeffs, args.top_n, **_feature_options(args))
         provenance = coeffs.provenance
     _emit(write_xyz(result.retained_cloud), args.output, _attack_report(result, provenance))
-    return 0
 
 
-def _cmd_overlap(args: argparse.Namespace) -> int:
-    scores_a = parse_scores(Path(args.scores_a).read_text(encoding="utf-8"))
-    scores_b = parse_scores(Path(args.scores_b).read_text(encoding="utf-8"))
+def _cmd_overlap(args: argparse.Namespace) -> None:
+    scores_a, scores_b = (parse_scores(_read_text(path)) for path in (args.scores_a, args.scores_b))
     if scores_a.n != scores_b.n:
         raise ValueError(f"score files differ in length: {scores_a.n} vs {scores_b.n}")
     lines = ["N,overlap_percent"]
@@ -247,7 +249,6 @@ def _cmd_overlap(args: argparse.Namespace) -> int:
         pct = overlap(rank_top_n(scores_a, n_top), rank_top_n(scores_b, n_top))
         lines.append(f"{n_top},{pct:.12g}")
     _emit("\n".join(lines) + "\n", args.output)
-    return 0
 
 
 @cache
@@ -331,10 +332,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """End-to-end CLI tests through main(argv), the package's public names, and the CLI's imports."""
 
+import codecs
 import multiprocessing
 import os
 import re
@@ -62,7 +63,7 @@ def parse_csv(text):
 class TestFeaturesCommand:
     def test_csv_shape(self, capsys, tmp_path):
         path = tmp_path / "cloud.xyz"
-        path.write_text(write_xyz(random_cloud(0, n=40)))
+        path.write_text(write_xyz(random_cloud(0, n=40)), encoding="utf-8")
         code, out, err = run(capsys, ["features", str(path), "--k", "6"])
         assert code == 0 and err == ""
         header, rows = parse_csv(out)
@@ -71,26 +72,26 @@ class TestFeaturesCommand:
 
     def test_byte_determinism(self, capsys, tmp_path):
         path = tmp_path / "cloud.xyz"
-        path.write_text(write_xyz(random_cloud(1, n=30)))
+        path.write_text(write_xyz(random_cloud(1, n=30)), encoding="utf-8")
         _, first, _ = run(capsys, ["features", str(path), "--k", "5"])
         _, second, _ = run(capsys, ["features", str(path), "--k", "5"])
         assert first == second
 
     def test_output_file(self, capsys, tmp_path):
         cloud_path = tmp_path / "cloud.xyz"
-        cloud_path.write_text(write_xyz(random_cloud(2, n=25)))
+        cloud_path.write_text(write_xyz(random_cloud(2, n=25)), encoding="utf-8")
         out_path = tmp_path / "features.csv"
         code, out, _ = run(
             capsys, ["features", str(cloud_path), "--k", "5", "--output", str(out_path)]
         )
         assert code == 0 and out == ""
-        _, rows = parse_csv(out_path.read_text())
+        _, rows = parse_csv(out_path.read_text(encoding="utf-8"))
         assert rows.shape == (25, 14)
 
     def test_normalize_flag(self, capsys, tmp_path):
         shifted = PointCloud(random_cloud(3, n=30).points + [100.0, -50.0, 25.0])
         path = tmp_path / "cloud.xyz"
-        path.write_text(write_xyz(shifted))
+        path.write_text(write_xyz(shifted), encoding="utf-8")
         _, plain, _ = run(capsys, ["features", str(path), "--k", "5"])
         _, normed, _ = run(capsys, ["features", str(path), "--k", "5", "--normalize"])
         assert plain != normed
@@ -125,7 +126,7 @@ class TestFeaturesCommand:
             done = subprocess.run(
                 [sys.executable, "-m", "pointdrop.cli", "features", str(cloud), "--k", "5",
                  "--output", str(out)],
-                env=env, capture_output=True, text=True, timeout=60,
+                env=env, capture_output=True, encoding="utf-8", timeout=60,
             )
             assert done.returncode == 0, done.stderr
             outputs.append(out.read_bytes())
@@ -133,7 +134,7 @@ class TestFeaturesCommand:
 
     def test_malformed_cloud(self, capsys, tmp_path):
         path = tmp_path / "bad.xyz"
-        path.write_text("1 2 3\n4 5\n")
+        path.write_text("1 2 3\n4 5\n", encoding="utf-8")
         code, _, err = run(capsys, ["features", str(path)])
         assert code == 2
         assert "line 2" in err
@@ -149,9 +150,9 @@ class TestFitCommand:
         cloud_dir.mkdir()
         scores_dir.mkdir()
         for stem in ("a", "b"):
-            (cloud_dir / f"{stem}.xyz").write_text(write_xyz(cloud))
+            (cloud_dir / f"{stem}.xyz").write_text(write_xyz(cloud), encoding="utf-8")
             (scores_dir / f"{stem}.txt").write_text(
-                write_scores(ScoreVector(f1, RAW_SALIENCY))
+                write_scores(ScoreVector(f1, RAW_SALIENCY)), encoding="utf-8"
             )
         return cloud_dir, scores_dir, f1
 
@@ -170,7 +171,7 @@ class TestFitCommand:
         assert "top-18 pooling" in out
         r2 = float(re.search(r"R\^2 = ([-\d.]+)", out).group(1))
         assert r2 > 0.999999
-        loaded = load_coefficients(out_path.read_text())
+        loaded = load_coefficients(out_path.read_text(encoding="utf-8"))
         assert loaded.significant[0]
         assert int(loaded.significant.sum()) == 1
         slope = 1.0 / (f1.max() - f1.min())
@@ -188,14 +189,14 @@ class TestFitCommand:
 
     def test_unmatched_basenames(self, capsys, tmp_path):
         cloud_dir, scores_dir, _ = self.setup_corpus(tmp_path)
-        (scores_dir / "extra.txt").write_text("0.0\n")
+        (scores_dir / "extra.txt").write_text("0.0\n", encoding="utf-8")
         code, _, err = run(capsys, ["fit", str(cloud_dir), str(scores_dir)])
         assert code == 2
         assert "unmatched" in err and "extra" in err
 
     def test_bad_alpha_rejected_before_reading(self, capsys, tmp_path):
         cloud_dir, scores_dir, _ = self.setup_corpus(tmp_path)
-        (cloud_dir / "a.xyz").write_text("1 2 3\n4 5\n")
+        (cloud_dir / "a.xyz").write_text("1 2 3\n4 5\n", encoding="utf-8")
         code, _, err = run(capsys, ["fit", str(cloud_dir), str(scores_dir), "--alpha", "1.5"])
         assert code == 2
         assert "alpha must lie in (0, 1), got 1.5" in err
@@ -203,7 +204,7 @@ class TestFitCommand:
     def test_bad_gamma_or_radius_rejected_before_reading(self, capsys, tmp_path):
         # Usage errors, like a bad --sigma: argparse exits before any file is read.
         cloud_dir, scores_dir, _ = self.setup_corpus(tmp_path)
-        (cloud_dir / "a.xyz").write_text("1 2 3\n4 5\n")
+        (cloud_dir / "a.xyz").write_text("1 2 3\n4 5\n", encoding="utf-8")
         fit = ["fit", str(cloud_dir), str(scores_dir)]
         attack = ["attack", str(cloud_dir / "a.xyz"), "--random"]
         overlap = ["overlap", str(scores_dir / "a.txt"), str(scores_dir / "b.txt")]
@@ -226,11 +227,11 @@ class TestFitCommand:
     def test_failing_pair_named(self, capsys, tmp_path):
         cloud_dir, scores_dir, _ = self.setup_corpus(tmp_path)
         pair = f"{cloud_dir / 'b.xyz'}, {scores_dir / 'b.txt'}"
-        (scores_dir / "b.txt").write_text("0.5\n" * 10)
+        (scores_dir / "b.txt").write_text("0.5\n" * 10, encoding="utf-8")
         code, _, err = run(capsys, ["fit", str(cloud_dir), str(scores_dir), "--top-n", "18"])
         assert code == 2
         assert err == f"error: {pair}: score count mismatch: expected 41, found 10\n"
-        (cloud_dir / "b.xyz").write_text("1 2 3\n4 5\n")
+        (cloud_dir / "b.xyz").write_text("1 2 3\n4 5\n", encoding="utf-8")
         code, _, err = run(capsys, ["fit", str(cloud_dir), str(scores_dir), "--top-n", "18"])
         assert code == 2
         assert err == f"error: {pair}: malformed line 2: expected 3 coordinates, got 2\n"
@@ -249,8 +250,12 @@ class TestFitCommand:
             cloud_dir.mkdir()
             scores_dir.mkdir()
             for i, (pts, z) in enumerate(zip(clouds, scores)):
-                (cloud_dir / f"{i}.xyz").write_text(write_xyz(PointCloud(np.ldexp(pts, e))))
-                (scores_dir / f"{i}.txt").write_text(write_scores(ScoreVector(z, RAW_SALIENCY)))
+                (cloud_dir / f"{i}.xyz").write_text(
+                    write_xyz(PointCloud(np.ldexp(pts, e))), encoding="utf-8"
+                )
+                (scores_dir / f"{i}.txt").write_text(
+                    write_scores(ScoreVector(z, RAW_SALIENCY)), encoding="utf-8"
+                )
             radius = repr(float(np.ldexp(0.5, e)))
             code, out, err = run(
                 capsys,
@@ -273,7 +278,7 @@ class TestFitCommand:
         # A stray file must not silently replace a cloud or its scores.
         cloud_dir, scores_dir, _ = self.setup_corpus(tmp_path)
         directory, suffix = (cloud_dir, "xyz") if kind == "clouds" else (scores_dir, "txt")
-        (directory / "a.zzz").write_text("0.0\n")
+        (directory / "a.zzz").write_text("0.0\n", encoding="utf-8")
         code, out, err = run(capsys, ["fit", str(cloud_dir), str(scores_dir)])
         assert (code, out) == (2, "")
         kept, stray = directory / f"a.{suffix}", directory / "a.zzz"
@@ -303,8 +308,10 @@ class TestFitPool:
         for i in range(count):
             pts = rng.normal(size=(n, 3))
             z = np.linalg.norm(pts, axis=1) + rng.normal(0.0, 0.1, n)
-            (cloud_dir / f"{i}.xyz").write_text(write_xyz(PointCloud(pts)))
-            (scores_dir / f"{i}.txt").write_text(write_scores(ScoreVector(z, RAW_SALIENCY)))
+            (cloud_dir / f"{i}.xyz").write_text(write_xyz(PointCloud(pts)), encoding="utf-8")
+            (scores_dir / f"{i}.txt").write_text(
+                write_scores(ScoreVector(z, RAW_SALIENCY)), encoding="utf-8"
+            )
         return cloud_dir, scores_dir
 
     @pytest.fixture
@@ -342,7 +349,7 @@ class TestFitPool:
         # With 3 processes the shares are pairs 0-1 (this process), 2-3 and 4-5.
         cloud_dir, scores_dir = self.setup_corpus(tmp_path)
         for i in broken:
-            (scores_dir / f"{i}.txt").write_text("0.5\n" * 10)
+            (scores_dir / f"{i}.txt").write_text("0.5\n" * 10, encoding="utf-8")
         first = broken[0]
         expected = (
             f"error: {cloud_dir / f'{first}.xyz'}, {scores_dir / f'{first}.txt'}: "
@@ -357,7 +364,7 @@ class TestFitPool:
     def test_serial_without_fork(self, capsys, monkeypatch, tmp_path, shares):
         cloud_dir, scores_dir = self.setup_corpus(tmp_path, count=4)
         serial = self.fit(capsys, monkeypatch, 1, cloud_dir, scores_dir)
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.delattr(os, "fork")
         assert self.fit(capsys, monkeypatch, 2, cloud_dir, scores_dir) == serial
         assert shares == []
 
@@ -419,7 +426,7 @@ class TestFitPool:
         # failing pair raises at once, without waiting for them, and leaves
         # no process behind. With 3 processes the shares are 0-1, 2-3 and 4-5.
         cloud_dir, scores_dir = self.setup_corpus(tmp_path)
-        (scores_dir / f"{broken}.txt").write_text("0.5\n" * 10)
+        (scores_dir / f"{broken}.txt").write_text("0.5\n" * 10, encoding="utf-8")
         serial = self.fit(capsys, monkeypatch, 1, cloud_dir, scores_dir)
         assert serial[0] == 2 and f"{broken}.txt: score count mismatch" in serial[2]
         parent, featurize, nap = os.getpid(), cli_module._featurize, 5.0
@@ -458,7 +465,7 @@ class TestFitPool:
 class TestAttackCommand:
     def test_stdout_routing(self, capsys, tmp_path):
         path = tmp_path / "cloud.xyz"
-        path.write_text(write_xyz(random_cloud(20)))
+        path.write_text(write_xyz(random_cloud(20)), encoding="utf-8")
         code, out, err = run(
             capsys, ["attack", str(path), "--preset", "pointnet-N150", "--top-n", "20"]
         )
@@ -471,7 +478,7 @@ class TestAttackCommand:
 
     def test_output_file_routing(self, capsys, tmp_path):
         path = tmp_path / "cloud.xyz"
-        path.write_text(write_xyz(random_cloud(21)))
+        path.write_text(write_xyz(random_cloud(21)), encoding="utf-8")
         out_path = tmp_path / "retained.xyz"
         code, out, err = run(
             capsys,
@@ -481,15 +488,15 @@ class TestAttackCommand:
             ],
         )
         assert code == 0 and err == ""
-        assert parse_xyz(out_path.read_text()).n == 100
+        assert parse_xyz(out_path.read_text(encoding="utf-8")).n == 100
         assert "N = 28" in out
         assert len(re.findall(r"^\d+, ", out, flags=re.M)) == 28
 
     def test_coefficient_file_equals_preset(self, capsys, tmp_path):
         path = tmp_path / "cloud.xyz"
-        path.write_text(write_xyz(random_cloud(22)))
+        path.write_text(write_xyz(random_cloud(22)), encoding="utf-8")
         coeff_path = tmp_path / "coeffs.json"
-        coeff_path.write_text(write_coefficients(get_preset("dgcnn-N50")))
+        coeff_path.write_text(write_coefficients(get_preset("dgcnn-N50")), encoding="utf-8")
         _, out_preset, _ = run(
             capsys, ["attack", str(path), "--preset", "dgcnn-N50", "--top-n", "15"]
         )
@@ -500,7 +507,7 @@ class TestAttackCommand:
 
     def test_random_baseline_deterministic(self, capsys, tmp_path):
         path = tmp_path / "cloud.xyz"
-        path.write_text(write_xyz(random_cloud(23)))
+        path.write_text(write_xyz(random_cloud(23)), encoding="utf-8")
         _, out_a, err_a = run(
             capsys, ["attack", str(path), "--random", "--top-n", "30", "--seed", "9"]
         )
@@ -516,7 +523,7 @@ class TestAttackCommand:
 
     def test_top_n_too_large(self, capsys, tmp_path):
         path = tmp_path / "cloud.xyz"
-        path.write_text(write_xyz(random_cloud(24, n=30)))
+        path.write_text(write_xyz(random_cloud(24, n=30)), encoding="utf-8")
         code, _, err = run(
             capsys, ["attack", str(path), "--preset", "pointnet-N50", "--top-n", "30"]
         )
@@ -525,7 +532,7 @@ class TestAttackCommand:
 
     def test_unknown_preset(self, capsys, tmp_path):
         path = tmp_path / "cloud.xyz"
-        path.write_text(write_xyz(random_cloud(25, n=30)))
+        path.write_text(write_xyz(random_cloud(25, n=30)), encoding="utf-8")
         code, _, err = run(capsys, ["attack", str(path), "--preset", "nope", "--top-n", "5"])
         assert code == 2
         assert "neither a bundled preset" in err
@@ -533,7 +540,7 @@ class TestAttackCommand:
 
     def rejected_source(self, capsys, tmp_path, flags):
         path = tmp_path / "cloud.xyz"
-        path.write_text(write_xyz(random_cloud(26, n=30)))
+        path.write_text(write_xyz(random_cloud(26, n=30)), encoding="utf-8")
         with pytest.raises(SystemExit) as exc:
             main(["attack", str(path), "--top-n", "5", *flags])
         assert exc.value.code == 2
@@ -555,9 +562,9 @@ class TestAttackCommand:
     )
     def test_bad_coefficient_file(self, capsys, tmp_path, document):
         path = tmp_path / "cloud.xyz"
-        path.write_text(write_xyz(random_cloud(27, n=30)))
+        path.write_text(write_xyz(random_cloud(27, n=30)), encoding="utf-8")
         bad = tmp_path / "bad.json"
-        bad.write_text(document)
+        bad.write_text(document, encoding="utf-8")
         code, _, err = run(capsys, ["attack", str(path), "--preset", str(bad), "--top-n", "5"])
         assert code == 2
         assert err.startswith("error: ")
@@ -565,7 +572,7 @@ class TestAttackCommand:
 
 class TestOverlapCommand:
     def write_scores_file(self, path, values):
-        path.write_text(write_scores(ScoreVector(values, RAW_SALIENCY)))
+        path.write_text(write_scores(ScoreVector(values, RAW_SALIENCY)), encoding="utf-8")
 
     def test_identical_files_default_ns(self, capsys, tmp_path):
         values = np.random.default_rng(30).normal(size=256)
@@ -626,13 +633,13 @@ class TestOverlapCommand:
             capsys, ["overlap", str(a), str(a), "--top-n", "5", "--output", str(out_path)]
         )
         assert code == 0 and out == ""
-        assert out_path.read_text().strip().splitlines()[1] == "5,100"
+        assert out_path.read_text(encoding="utf-8").strip().splitlines()[1] == "5,100"
 
 
 class TestSigmaFlag:
     def test_explicit_sigma_changes_features(self, capsys, tmp_path):
         path = tmp_path / "cloud.xyz"
-        path.write_text(write_xyz(random_cloud(40, n=30)))
+        path.write_text(write_xyz(random_cloud(40, n=30)), encoding="utf-8")
         _, auto, _ = run(capsys, ["features", str(path), "--k", "5"])
         _, fixed, _ = run(capsys, ["features", str(path), "--k", "5", "--sigma", "0.05"])
         _, auto_again, _ = run(capsys, ["features", str(path), "--k", "5", "--sigma", "auto"])
@@ -641,9 +648,73 @@ class TestSigmaFlag:
 
     def test_bad_sigma_rejected(self, capsys, tmp_path):
         path = tmp_path / "cloud.xyz"
-        path.write_text(write_xyz(random_cloud(41, n=10)))
+        path.write_text(write_xyz(random_cloud(41, n=10)), encoding="utf-8")
         with pytest.raises(SystemExit):
             run(capsys, ["features", str(path), "--sigma", "-1"])
+
+
+class TestInputFiles:
+    """Every command reads its files as UTF-8, a leading BOM skipped, and names one that is not."""
+
+    ARGV = {
+        "features": ["features", "cloud.xyz", "--k", "6"],
+        "fit": ["fit", "clouds", "scores", "--k", "6", "--top-n", "20"],
+        "attack": ["attack", "cloud.xyz", "--preset", "coeffs.json", "--top-n", "10"],
+        "overlap": ["overlap", "a.txt", "b.txt", "--top-n", "5,10"],
+    }
+
+    def write_inputs(self, root, prefix=b""):
+        """Every command's input files under ``root``, each starting with ``prefix``."""
+        rng = np.random.default_rng(70)
+        texts = {
+            "cloud.xyz": write_xyz(random_cloud(70, n=40)),
+            "coeffs.json": write_coefficients(get_preset("avg-N50")),
+            "a.txt": write_scores(ScoreVector(rng.normal(size=40), RAW_SALIENCY)),
+            "b.txt": write_scores(ScoreVector(rng.normal(size=40), RAW_SALIENCY)),
+        }
+        for i in range(2):
+            pts = rng.normal(size=(48, 3))
+            z = np.linalg.norm(pts, axis=1) + rng.normal(0.0, 0.1, 48)
+            texts[f"clouds/{i}.xyz"] = write_xyz(PointCloud(pts))
+            texts[f"scores/{i}.txt"] = write_scores(ScoreVector(z, RAW_SALIENCY))
+        for name, text in texts.items():
+            path = root / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(prefix + text.encode("utf-8"))
+        return root
+
+    def run_in(self, capsys, monkeypatch, root, command):
+        # Relative paths, so that both input sets give the same argv.
+        monkeypatch.chdir(root)
+        return run(capsys, self.ARGV[command])
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_bom_skipped(self, capsys, monkeypatch, tmp_path, command):
+        # Windows tools such as Notepad's "UTF-8 with BOM" start a file with U+FEFF.
+        plain = self.run_in(capsys, monkeypatch, self.write_inputs(tmp_path / "plain"), command)
+        assert plain[0] == 0, plain[2]
+        marked = self.write_inputs(tmp_path / "bom", codecs.BOM_UTF8)
+        assert self.run_in(capsys, monkeypatch, marked, command) == plain
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            ("features", "cloud.xyz"),
+            ("attack", "cloud.xyz"),
+            ("attack", "coeffs.json"),
+            ("overlap", "b.txt"),
+            ("fit", "clouds/1.xyz"),
+            ("fit", "scores/1.txt"),
+        ],
+    )
+    def test_not_utf8_named(self, capsys, monkeypatch, tmp_path, command, name):
+        root = self.write_inputs(tmp_path)
+        latin = root / name
+        latin.write_bytes("# t\xe9l\xe9m\xe8tre\n".encode("latin-1") + latin.read_bytes())
+        code, out, err = self.run_in(capsys, monkeypatch, root, command)
+        pair = f"{Path('clouds/1.xyz')}, {Path('scores/1.txt')}: " if command == "fit" else ""
+        decode = "'utf-8' codec can't decode byte 0xe9 in position 3: invalid continuation byte"
+        assert (code, out, err) == (2, "", f"error: {pair}{Path(name)}: {decode}\n")
 
 
 def test_output_independent_of_process_and_threads(tmp_path):
@@ -670,7 +741,7 @@ def test_output_independent_of_process_and_threads(tmp_path):
     n = 9000
     assert n >= graph_module._THREADED_QUERY_MIN_POINTS
     cloud = tmp_path / "large.xyz"
-    cloud.write_text(write_xyz(random_cloud(50, n=n)))
+    cloud.write_text(write_xyz(random_cloud(50, n=n)), encoding="utf-8")
     if can_pin:
         pinned = cli(["features", str(cloud)], pin_one_cpu)
         assert pinned == cli(["features", str(cloud)])
@@ -680,9 +751,9 @@ def test_output_independent_of_process_and_threads(tmp_path):
     cloud_dir.mkdir()
     scores_dir.mkdir()
     for i in range(4):
-        (cloud_dir / f"{i}.xyz").write_text(write_xyz(random_cloud(52 + i, n=64)))
+        (cloud_dir / f"{i}.xyz").write_text(write_xyz(random_cloud(52 + i, n=64)), encoding="utf-8")
         (scores_dir / f"{i}.txt").write_text(
-            write_scores(ScoreVector(rng.normal(size=64), RAW_SALIENCY))
+            write_scores(ScoreVector(rng.normal(size=64), RAW_SALIENCY)), encoding="utf-8"
         )
     fit_argv = ["fit", str(cloud_dir), str(scores_dir), "--top-n", "30"]
     fits = [
@@ -714,7 +785,7 @@ def test_cli_import_leaves_out_scipy_stats():
     unwanted = ["scipy.stats", "multiprocessing", "concurrent.futures.process"]
     probe = f"import sys, pointdrop.cli; print([m for m in {unwanted!r} if m in sys.modules])"
     done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe], env=env, capture_output=True, encoding="utf-8", check=True
     )
     assert done.stdout.strip() == "[]"
 
@@ -722,7 +793,7 @@ def test_cli_import_leaves_out_scipy_stats():
 def test_parser_built_once_and_reusable(capsys, tmp_path):
     # The parser is cached per process; a usage error leaves it as a fresh one.
     cloud = tmp_path / "cloud.xyz"
-    cloud.write_text(write_xyz(random_cloud(53, n=20)))
+    cloud.write_text(write_xyz(random_cloud(53, n=20)), encoding="utf-8")
     valid = ["features", str(cloud), "--k", "5"]
     invalid = ["features", str(cloud), "--gamma", "-1"]
 

@@ -38,12 +38,12 @@ def workdir(tmp_path_factory):
     rng = np.random.default_rng(0)
     cloud = write_xyz(PointCloud(rng.normal(size=(30, 3))))
     scores = write_scores(ScoreVector(rng.normal(size=30), RAW_SALIENCY))
-    (root / "cloud.xyz").write_text(cloud)
-    (root / "scores.txt").write_text(scores)
-    (root / "coeffs.json").write_text(write_coefficients(get_preset("avg-N50")))
+    (root / "cloud.xyz").write_text(cloud, encoding="utf-8")
+    (root / "scores.txt").write_text(scores, encoding="utf-8")
+    (root / "coeffs.json").write_text(write_coefficients(get_preset("avg-N50")), encoding="utf-8")
     for name, text in (("clouds", cloud), ("scores", scores)):
         (root / name).mkdir()
-        (root / name / "c.txt").write_text(text)
+        (root / name / "c.txt").write_text(text, encoding="utf-8")
     cwd = os.getcwd()
     os.chdir(root)
     yield root
@@ -146,8 +146,9 @@ def scale_run(tmp_path_factory):
     def dropped(e):
         scaled = np.ldexp(SCALE_POINTS, e)
         assert np.array_equal(np.ldexp(scaled, -e), SCALE_POINTS)  # exact at 2^e
-        path.write_text(write_xyz(PointCloud(scaled)))
-        assert np.array_equal(parse_xyz(path.read_text()).points, scaled)  # and round-trips
+        path.write_text(write_xyz(PointCloud(scaled)), encoding="utf-8")
+        text = path.read_text(encoding="utf-8")
+        assert np.array_equal(parse_xyz(text).points, scaled)  # and round-trips
         argv = ["attack", str(path), "--normalize", "--preset", "avg-N100", "--top-n", "10"]
         code, _, report = run_main(argv)
         assert code == 0, (e, report)

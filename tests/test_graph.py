@@ -245,7 +245,7 @@ class TestKnnSelection:
         def workers(preexec_fn=None):
             done = subprocess.run(
                 [sys.executable, "-c", code], env=env, preexec_fn=preexec_fn,
-                capture_output=True, text=True, check=True, timeout=60,
+                capture_output=True, encoding="utf-8", check=True, timeout=60,
             )
             return int(done.stdout)
 
