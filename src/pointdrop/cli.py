@@ -12,8 +12,8 @@ through --seed. ``fit`` featurizes its corpus across up to one process per
 usable CPU and fits once on the pooled blocks in sorted order, so its bytes
 do not depend on the CPU count.
 
-Input rule: ``_read_text`` reads every input file as UTF-8, skipping a BOM;
-a file not UTF-8 is an error naming it. ``main`` alone sets the exit status.
+Input rule: ``_read`` reads every input file as UTF-8, skipping a BOM, and
+parses it; any error in a file names it. ``main`` alone sets the exit status.
 
 Output rule, the same for every command: the result (CSV, coefficient
 JSON, cloud or overlap table) goes to --output, else to stdout; the report
@@ -93,16 +93,15 @@ def _feature_options(args: argparse.Namespace) -> dict:
     return dict(k=args.k, sigma=args.sigma, gamma=args.gamma, ball_radius=args.ball_radius)
 
 
-def _read_text(path) -> str:
+def _read(path, parse, *args):
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
+        return parse(Path(path).read_text(encoding="utf-8-sig"), *args)
+    except ValueError as exc:  # a UnicodeDecodeError too
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _read_cloud(path, normalize: bool):
-    cloud = parse_xyz(_read_text(path))
-    return normalize_cloud(cloud) if normalize else cloud
+def _parse_cloud(text: str, normalize: bool):
+    return normalize_cloud(parse_xyz(text)) if normalize else parse_xyz(text)
 
 
 def _emit(result: str, output: str | None, report: str = "") -> None:
@@ -119,7 +118,7 @@ def _resolve_coefficients(source: str) -> CoefficientSet:
     if source in preset_names():
         return get_preset(source)
     if Path(source).exists():
-        return load_coefficients(_read_text(source))
+        return _read(source, load_coefficients)
     known = ", ".join(preset_names())
     raise ValueError(
         f"{source!r} is neither a bundled preset nor an existing file; presets: {known}"
@@ -127,7 +126,7 @@ def _resolve_coefficients(source: str) -> CoefficientSet:
 
 
 def _cmd_features(args: argparse.Namespace) -> None:
-    cloud = _read_cloud(args.cloud, args.normalize)
+    cloud = _read(args.cloud, _parse_cloud, args.normalize)
     _emit(features_to_csv(extract_features(cloud, **_feature_options(args))), args.output)
 
 
@@ -151,8 +150,8 @@ def _featurize(pairs, args: argparse.Namespace) -> list:
     blocks = []
     for cloud_path, score_path in pairs:
         try:
-            cloud = _read_cloud(cloud_path, args.normalize)
-            z = normalize_scores(parse_scores(_read_text(score_path), cloud.n))
+            cloud = _read(cloud_path, _parse_cloud, args.normalize)
+            z = normalize_scores(_read(score_path, parse_scores, cloud.n))
             feats = extract_features(cloud, **_feature_options(args))
             blocks.append(select_top_targets(z, feats, args.top_n))
         except ValueError as exc:
@@ -229,7 +228,7 @@ def _attack_report(result: AttackResult, provenance: str) -> str:
 
 
 def _cmd_attack(args: argparse.Namespace) -> None:
-    cloud = _read_cloud(args.cloud, args.normalize)
+    cloud = _read(args.cloud, _parse_cloud, args.normalize)
     if args.random:
         result = random_drop(cloud, args.top_n, args.seed)
         provenance = f"none (random baseline, seed {args.seed})"
@@ -241,9 +240,10 @@ def _cmd_attack(args: argparse.Namespace) -> None:
 
 
 def _cmd_overlap(args: argparse.Namespace) -> None:
-    scores_a, scores_b = (parse_scores(_read_text(path)) for path in (args.scores_a, args.scores_b))
+    a, b = args.scores_a, args.scores_b
+    scores_a, scores_b = _read(a, parse_scores), _read(b, parse_scores)
     if scores_a.n != scores_b.n:
-        raise ValueError(f"score files differ in length: {scores_a.n} vs {scores_b.n}")
+        raise ValueError(f"score files differ in length: {a} {scores_a.n}, {b} {scores_b.n}")
     lines = ["N,overlap_percent"]
     for n_top in args.top_n:
         pct = overlap(rank_top_n(scores_a, n_top), rank_top_n(scores_b, n_top))

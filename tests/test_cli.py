@@ -1,6 +1,7 @@
 """End-to-end CLI tests through main(argv), the package's public names, and the CLI's imports."""
 
 import codecs
+import inspect
 import multiprocessing
 import os
 import re
@@ -20,6 +21,7 @@ from pointdrop import (
     PointCloud,
     ScoreVector,
     extract_features,
+    fit_mlr,
     get_preset,
     load_coefficients,
     parse_xyz,
@@ -226,15 +228,16 @@ class TestFitCommand:
 
     def test_failing_pair_named(self, capsys, tmp_path):
         cloud_dir, scores_dir, _ = self.setup_corpus(tmp_path)
-        pair = f"{cloud_dir / 'b.xyz'}, {scores_dir / 'b.txt'}"
-        (scores_dir / "b.txt").write_text("0.5\n" * 10, encoding="utf-8")
+        cloud, scores = cloud_dir / "b.xyz", scores_dir / "b.txt"
+        pair = f"{cloud}, {scores}"
+        scores.write_text("0.5\n" * 10, encoding="utf-8")
         code, _, err = run(capsys, ["fit", str(cloud_dir), str(scores_dir), "--top-n", "18"])
         assert code == 2
-        assert err == f"error: {pair}: score count mismatch: expected 41, found 10\n"
-        (cloud_dir / "b.xyz").write_text("1 2 3\n4 5\n", encoding="utf-8")
+        assert err == f"error: {pair}: {scores}: score count mismatch: expected 41, found 10\n"
+        cloud.write_text("1 2 3\n4 5\n", encoding="utf-8")
         code, _, err = run(capsys, ["fit", str(cloud_dir), str(scores_dir), "--top-n", "18"])
         assert code == 2
-        assert err == f"error: {pair}: malformed line 2: expected 3 coordinates, got 2\n"
+        assert err == f"error: {pair}: {cloud}: malformed line 2: expected 3 coordinates, got 2\n"
 
     def test_extreme_scale_without_normalize(self, capsys, tmp_path):
         # Thirteen features are lengths: a corpus and ball radius at 2^e scale
@@ -350,9 +353,9 @@ class TestFitPool:
         cloud_dir, scores_dir = self.setup_corpus(tmp_path)
         for i in broken:
             (scores_dir / f"{i}.txt").write_text("0.5\n" * 10, encoding="utf-8")
-        first = broken[0]
+        scores = scores_dir / f"{broken[0]}.txt"
         expected = (
-            f"error: {cloud_dir / f'{first}.xyz'}, {scores_dir / f'{first}.txt'}: "
+            f"error: {cloud_dir / f'{broken[0]}.xyz'}, {scores}: {scores}: "
             "score count mismatch: expected 48, found 10\n"
         )
         for cpus in (1, 3):
@@ -622,7 +625,7 @@ class TestOverlapCommand:
         self.write_scores_file(b, np.arange(6.0))
         code, _, err = run(capsys, ["overlap", str(a), str(b), "--top-n", "2"])
         assert code == 2
-        assert "differ in length" in err
+        assert err == f"error: score files differ in length: {a} 5, {b} 6\n"
 
     def test_output_file(self, capsys, tmp_path):
         values = np.random.default_rng(32).normal(size=20)
@@ -654,7 +657,7 @@ class TestSigmaFlag:
 
 
 class TestInputFiles:
-    """Every command reads its files as UTF-8, a leading BOM skipped, and names one that is not."""
+    """Every command reads UTF-8 files, a leading BOM skipped, and names a file it cannot parse."""
 
     ARGV = {
         "features": ["features", "cloud.xyz", "--k", "6"],
@@ -696,17 +699,27 @@ class TestInputFiles:
         marked = self.write_inputs(tmp_path / "bom", codecs.BOM_UTF8)
         assert self.run_in(capsys, monkeypatch, marked, command) == plain
 
-    @pytest.mark.parametrize(
-        "command, name",
-        [
-            ("features", "cloud.xyz"),
-            ("attack", "cloud.xyz"),
-            ("attack", "coeffs.json"),
-            ("overlap", "b.txt"),
-            ("fit", "clouds/1.xyz"),
-            ("fit", "scores/1.txt"),
-        ],
-    )
+    # Each command with one of the files it reads.
+    INPUTS = [
+        ("features", "cloud.xyz"),
+        ("attack", "cloud.xyz"),
+        ("attack", "coeffs.json"),
+        ("overlap", "b.txt"),
+        ("fit", "clouds/1.xyz"),
+        ("fit", "scores/1.txt"),
+    ]
+
+    # Per suffix, UTF-8 text that fails to parse, and the parser's message.
+    CORRUPT = {
+        ".xyz": ("1 2 3\n4 5\n", "malformed line 2: expected 3 coordinates, got 2"),
+        ".txt": ("0.5\nx\n", "malformed line 2: 'x' is not numeric"),
+        ".json": (
+            '{"coefficients": }',
+            "invalid coefficient document: Expecting value: line 1 column 18 (char 17)",
+        ),
+    }
+
+    @pytest.mark.parametrize("command, name", INPUTS)
     def test_not_utf8_named(self, capsys, monkeypatch, tmp_path, command, name):
         root = self.write_inputs(tmp_path)
         latin = root / name
@@ -715,6 +728,23 @@ class TestInputFiles:
         pair = f"{Path('clouds/1.xyz')}, {Path('scores/1.txt')}: " if command == "fit" else ""
         decode = "'utf-8' codec can't decode byte 0xe9 in position 3: invalid continuation byte"
         assert (code, out, err) == (2, "", f"error: {pair}{Path(name)}: {decode}\n")
+
+    @pytest.mark.parametrize("command, name", INPUTS)
+    def test_parse_error_named(self, capsys, monkeypatch, tmp_path, command, name):
+        root = self.write_inputs(tmp_path)
+        text, message = self.CORRUPT[Path(name).suffix]
+        (root / name).write_text(text, encoding="utf-8")
+        code, out, err = self.run_in(capsys, monkeypatch, root, command)
+        pair = f"{Path('clouds/1.xyz')}, {Path('scores/1.txt')}: " if command == "fit" else ""
+        assert (code, out, err) == (2, "", f"error: {pair}{Path(name)}: {message}\n")
+
+    def test_degenerate_normalized_cloud_named(self, capsys, monkeypatch, tmp_path):
+        root = self.write_inputs(tmp_path)
+        (root / "same.xyz").write_text("1 2 3\n" * 40, encoding="utf-8")
+        monkeypatch.chdir(root)
+        argv = ["attack", "same.xyz", "--normalize", "--preset", "coeffs.json", "--top-n", "10"]
+        expected = "error: same.xyz: degenerate cloud: all points coincide\n"
+        assert run(capsys, argv) == (2, "", expected)
 
 
 def test_output_independent_of_process_and_threads(tmp_path):
@@ -763,6 +793,18 @@ def test_output_independent_of_process_and_threads(tmp_path):
     assert fits[0] == fits[1]
     if can_pin:  # one process, against one per usable CPU
         assert cli(fit_argv, pin_one_cpu) == fits[0]
+
+
+def test_cli_defaults_are_the_library_defaults():
+    # The graph and feature flags default to extract_features' keywords, which
+    # drop_attack passes on; fit's --alpha defaults to fit_mlr's.
+    parse = cli_module._build_parser().parse_args
+    keywords = inspect.signature(extract_features).parameters
+    for argv in (["features", "c.xyz"], ["attack", "c.xyz", "--random"], ["fit", "C", "S"]):
+        options = cli_module._feature_options(parse(argv))
+        assert options == {name: keywords[name].default for name in options}, argv[0]
+    alpha = inspect.signature(fit_mlr).parameters["alpha"].default
+    assert parse(["fit", "C", "S"]).alpha == alpha
 
 
 def test_public_surface():
