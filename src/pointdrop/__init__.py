@@ -19,12 +19,11 @@ from .attack import (
 from .features import (
     FEATURE_NAMES,
     FeatureMatrix,
-    ball_count,
     extract_features,
     features_to_csv,
     lpf_solve,
 )
-from .graph import NeighborhoodGraph, build_knn_graph
+from .graph import NeighborhoodGraph, ball_count, build_knn_graph
 from .io import (
     NUM_FEATURES,
     CoefficientSet,

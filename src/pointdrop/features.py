@@ -1,6 +1,7 @@
 """Fourteen per-point geometric features from graph-signal filtering.
 
-Feature columns, in fixed order:
+The module assembles the 14 columns from the graph, the ball counts (both
+queried in ``graph``) and the low-pass solve. Feature columns, in fixed order:
 
   f1       local variation v_i = ||p_i - pbar_i||
   f2..f4   weighted neighborhood average coordinates pbar = A p (x, y, z)
@@ -27,10 +28,6 @@ The test oracle solves the same system densely.
 
 Lengths are computed in power-of-two units (the scale rule of ``io``): a
 cloud and ball radius scaled by 2^e give the length columns scaled by 2^e.
-
-On clouds of 8192 points or more the ball counts query a k-d tree on one
-thread per usable CPU (``graph._tree_workers``); each point's count is exact,
-so the result does not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -41,9 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
-from scipy.spatial import cKDTree
 
-from .graph import NeighborhoodGraph, _tree_workers, build_knn_graph
+from .graph import NeighborhoodGraph, ball_count, build_knn_graph
 from .io import NUM_FEATURES, PointCloud, _format_rows, _readonly, _to_units
 
 FEATURE_NAMES = tuple(f"f{j}" for j in range(1, NUM_FEATURES + 1))
@@ -166,19 +162,6 @@ def lpf_solve(graph: NeighborhoodGraph, cloud: PointCloud, gamma: float) -> np.n
             f"exceed tolerances {allowed.tolist()}"
         )
     return np.ldexp(qstar, exponents)
-
-
-def ball_count(cloud: PointCloud, r: float) -> np.ndarray:
-    """Points within the closed ball of radius r around each point, self included (f11)."""
-    if not r > 0:
-        raise ValueError(f"ball radius must be positive, got {r}")
-    points, exponent = cloud._units
-    with np.errstate(over="ignore"):  # a radius of inf units counts every point, as it should
-        radius = np.ldexp(r, -exponent)
-    counts = cKDTree(points).query_ball_point(
-        points, radius, return_length=True, workers=_tree_workers(cloud.n)
-    )
-    return counts.astype(np.int64)
 
 
 def extract_features(

@@ -1,15 +1,16 @@
-"""k-nearest-neighbor graphs over point clouds and their two operators.
+"""Two neighborhood queries over point clouds: kNN graphs and closed-ball counts.
 
 Each point is connected to its k Euclidean nearest neighbors (ties broken by
 lower point index) and the edge set is symmetrized by union, W taking the
 pattern of K + K^T, so no node is isolated; only rows whose k-th-distance
 tie is not yet inside the query window widen it. On clouds of 8192 points or
-more the k-d tree queries run on one thread per CPU of the affinity mask,
-except inside one share of a corpus fit run across processes; each row's
-answer is computed whole by one thread, so the graph does not depend on the
-thread count. Lengths are taken in the cloud's power-of-two units (the scale
-rule of ``io``), so no cloud scale underflows or overflows the squared
-distances. Edge weights follow a Gaussian kernel
+more both k-d tree queries (neighbor selection and ball counts) run on one
+thread per CPU of the affinity mask, except inside one share of a corpus fit
+run across processes; each row's answer is computed whole by one thread, so
+neither the graph nor the counts depend on the thread count. Lengths are
+taken in the cloud's power-of-two units (the scale rule of ``io``), so no
+cloud scale underflows or overflows the squared distances. Edge weights
+follow a Gaussian kernel
 
     W[i, j] = exp(-||p_i - p_j||^2 / sigma^2)
 
@@ -118,6 +119,19 @@ def _knn_select(points: np.ndarray, k: int) -> np.ndarray:
         rows = rows[~settled]
         kq = min(n, 2 * kq)
     return selected
+
+
+def ball_count(cloud: PointCloud, r: float) -> np.ndarray:
+    """Points within the closed ball of radius r around each point, self included (f11)."""
+    if not r > 0:
+        raise ValueError(f"ball radius must be positive, got {r}")
+    points, exponent = cloud._units
+    with np.errstate(over="ignore"):  # a radius of inf units counts every point, as it should
+        radius = np.ldexp(r, -exponent)
+    counts = cKDTree(points).query_ball_point(
+        points, radius, return_length=True, workers=_tree_workers(cloud.n)
+    )
+    return counts.astype(np.int64)
 
 
 def build_knn_graph(cloud: PointCloud, k: int, sigma: float | None = None) -> NeighborhoodGraph:

@@ -1,6 +1,7 @@
 """End-to-end CLI tests through main(argv), the package's public names, and the CLI's imports."""
 
 import codecs
+import importlib.util
 import inspect
 import multiprocessing
 import os
@@ -378,14 +379,19 @@ class TestFitPool:
         assert shares == []
 
     def test_parent_share_queries_single_threaded(self, capsys, monkeypatch, tmp_path, shares):
-        # Thread every query, then record this process's: a pooled share runs
-        # them on one thread, a serial fit on every usable CPU (4 here).
-        workers = []
+        # Thread every query, then record this process's kNN and ball queries:
+        # a pooled share runs each on one thread, a serial fit on every usable
+        # CPU (4 here).
+        workers, ball_workers = [], []
 
         class RecordingTree(graph_module.cKDTree):
             def query(self, x, k=1, **kwargs):
                 workers.append(kwargs["workers"])
                 return super().query(x, k=k, **kwargs)
+
+            def query_ball_point(self, x, r, **kwargs):
+                ball_workers.append(kwargs["workers"])
+                return super().query_ball_point(x, r, **kwargs)
 
         monkeypatch.setattr(graph_module, "_THREADED_QUERY_MIN_POINTS", 1)
         monkeypatch.setattr(graph_module, "cKDTree", RecordingTree)
@@ -394,8 +400,10 @@ class TestFitPool:
         results = []
         for cpus, expected in ((2, 1), (1, 4)):
             workers.clear()
+            ball_workers.clear()
             results.append(self.fit(capsys, monkeypatch, cpus, cloud_dir, scores_dir))
             assert workers and set(workers) == {expected}
+            assert ball_workers and set(ball_workers) == {expected}
         assert shares == [2]
         assert results[0] == results[1]
 
@@ -855,3 +863,34 @@ def test_parser_built_once_and_reusable(capsys, tmp_path):
     assert run(capsys, valid) == fresh_valid
     assert usage_error() == fresh_error
     assert cli_module._build_parser() is parser
+
+
+def test_benchmark_tracer_wraps_the_call_path(tmp_path):
+    # perfbench's worker wraps each traced function at every module attribute
+    # that holds it; ball_count's span must nest in extract_features', and
+    # uninstalling must leave one function under all three names.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_worker", Path(__file__).parents[1] / "perfbench" / "worker.py"
+    )
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    modules = {name: importlib.import_module(f"pointdrop.{name}") for name in worker.MODULES}
+    tracer = worker.Tracer(modules)
+    cloud = tmp_path / "cloud.xyz"
+    cloud.write_text(write_xyz(random_cloud(54, n=64)), encoding="utf-8")
+    tracer.install()
+    try:
+        assert cli_module.main(["features", str(cloud), "--k", "5"]) == 0
+    finally:
+        tracer.uninstall()
+    (ball,) = [span for span in tracer.spans if span[0] == "features.ball_count"]
+    assert tracer.spans[ball[3]][0] == "features.extract_features"
+    assert pointdrop.ball_count is pointdrop.features.ball_count is pointdrop.graph.ball_count
+
+
+def test_console_script_is_cli_main():
+    # The [project.scripts] entry that pip turns into the `pointdrop` command.
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    module, attr = re.search(r'^pointdrop = "([\w.]+):(\w+)"$', scripts, re.M).groups()
+    assert getattr(importlib.import_module(module), attr) is cli_module.main
