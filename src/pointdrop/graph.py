@@ -3,14 +3,16 @@
 Each point is connected to its k Euclidean nearest neighbors (ties broken by
 lower point index) and the edge set is symmetrized by union, W taking the
 pattern of K + K^T, so no node is isolated; only rows whose k-th-distance
-tie is not yet inside the query window widen it. On clouds of 8192 points or
-more both k-d tree queries (neighbor selection and ball counts) run on one
-thread per CPU of the affinity mask, except inside one share of a corpus fit
-run across processes; each row's answer is computed whole by one thread, so
-neither the graph nor the counts depend on the thread count. Lengths are
-taken in the cloud's power-of-two units (the scale rule of ``io``), so no
-cloud scale underflows or overflows the squared distances. Edge weights
-follow a Gaussian kernel
+tie is not yet inside the query window widen it. Both k-d trees (neighbor
+selection and ball counts) are built by sliding midpoint and queried in their
+own leaf order, answers scattered back to file order. On clouds of 8192
+points or more both queries run on one thread per CPU of the affinity mask,
+except inside one share of a corpus fit run across processes. Each row's
+answer is computed whole by one thread from the point set alone, so neither
+tree shape, query order nor thread count changes the graph or the counts.
+Lengths are taken in the cloud's power-of-two units (the scale rule of
+``io``), so no cloud scale underflows or overflows the squared distances.
+Edge weights follow a Gaussian kernel
 
     W[i, j] = exp(-||p_i - p_j||^2 / sigma^2)
 
@@ -98,21 +100,26 @@ class NeighborhoodGraph:
 def _knn_select(points: np.ndarray, k: int) -> np.ndarray:
     """Indices of each point's k nearest neighbors, ordered by (distance, index).
 
-    Each query window is sorted by (not self, distance, index) and its columns
-    1..k taken. A row is settled once the tie group at its k-th distance lies
-    inside the window (that distance is below the window's last) or the window
-    spans the cloud; only unsettled rows are queried again, at twice the window.
-    A window without self holds only distance-0 points, so it never settles.
+    Each query window is taken in (not self, distance, index) order and its
+    columns 1..k kept; the tree returns it by distance, so only a window with a
+    repeated distance is sorted (self is at distance 0, so one without self
+    first holds a second 0). A row is settled once the tie group at its k-th
+    distance lies inside the window (that distance is below the window's last)
+    or the window spans the cloud; only unsettled rows are queried again, at
+    twice the window. A window without self holds only distance-0 points, so
+    it never settles.
     """
     n = len(points)
-    tree = cKDTree(points)
+    tree = cKDTree(points, balanced_tree=False)
     selected = np.empty((n, k), dtype=np.intp)
-    rows = np.arange(n)
+    rows = tree.indices
     kq = min(n, k + 2)
     workers = _tree_workers(n)
     while rows.size:
         dist, nbr = tree.query(points[rows], k=kq, workers=workers)
-        nbr = np.take_along_axis(nbr, np.lexsort((nbr, dist, nbr != rows[:, None])), axis=1)
+        fix = np.flatnonzero((dist[:, 1:] == dist[:, :-1]).any(axis=1))
+        d, b = dist[fix], nbr[fix]
+        nbr[fix] = np.take_along_axis(b, np.lexsort((b, d, b != rows[fix, None])), axis=1)
         # dist stays as queried, self's 0 among it: dist[:, k] is the k-th neighbor's distance.
         settled = (dist[:, k] < dist[:, -1]) | (kq >= n)
         selected[rows[settled]] = nbr[settled, 1 : k + 1]
@@ -128,10 +135,12 @@ def ball_count(cloud: PointCloud, r: float) -> np.ndarray:
     points, exponent = cloud._units
     with np.errstate(over="ignore"):  # a radius of inf units counts every point, as it should
         radius = np.ldexp(r, -exponent)
-    counts = cKDTree(points).query_ball_point(
-        points, radius, return_length=True, workers=_tree_workers(cloud.n)
+    tree = cKDTree(points, balanced_tree=False)
+    counts = np.empty(cloud.n, dtype=np.int64)
+    counts[tree.indices] = tree.query_ball_point(
+        points[tree.indices], radius, return_length=True, workers=_tree_workers(cloud.n)
     )
-    return counts.astype(np.int64)
+    return counts
 
 
 def build_knn_graph(cloud: PointCloud, k: int, sigma: float | None = None) -> NeighborhoodGraph:

@@ -149,8 +149,19 @@ def _read_table(text: str, width: int, noun: str) -> np.ndarray:
     """All data lines as an (m, width) array of finite floats.
 
     On a bad line, raises ValueError naming its 1-based number; ``noun``
-    names one column value in those messages.
+    names one column value in those messages. Plain text (no line break but
+    "\n", no ";", ``width`` values a line) is converted in one call.
     """
+    if not any(mark in text for mark in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029;"):
+        tokens = (text if text.endswith("\n") else text + "\n").replace("\n", " ; ").split()
+        if len(tokens) % (width + 1) == 0 and set(tokens[width :: width + 1]) == {";"}:
+            del tokens[width :: width + 1]
+            try:
+                table = np.array(tokens, dtype=np.float64).reshape(-1, width)
+                if np.isfinite(table).all():
+                    return table
+            except ValueError:  # a token float() rejects, such as a comment's
+                pass
     try:
         table = np.array([stripped.split() for _, stripped in _data_lines(text)], dtype=np.float64)
         if table.shape[1:] == (width,) and np.isfinite(table).all():

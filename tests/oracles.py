@@ -29,6 +29,18 @@ def naive_knn(points, k):
     return out
 
 
+def naive_ball_count(points, r):
+    """Closed-ball counts, self included, by testing every pair.
+
+    A pair is inside when ((dx^2 + dy^2) + dz^2) <= r^2, the squared length
+    a k-d tree compares, summed coordinate by coordinate in that order.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    d = points[:, None, :] - points[None, :, :]
+    squared = (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) + d[..., 2] * d[..., 2]
+    return (squared <= r * r).sum(axis=1)
+
+
 def naive_graph(points, k, sigma=None):
     """Dense union-symmetrized kNN graph: (W, degrees, A, L, sigma)."""
     points = np.asarray(points, dtype=np.float64)

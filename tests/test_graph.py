@@ -149,13 +149,17 @@ def int_lattice(side):
 
 @pytest.fixture
 def tree_queries(monkeypatch):
-    """The graph's k-d tree queries, as (query rows, k, neighbor indices) in call order."""
+    """The graph's k-d tree queries, as (query points, k, neighbor indices) in call order.
+
+    The queries run in the tree's order, not the file's, so a window row is
+    known by its query point, not by its position.
+    """
     calls = []
 
     class RecordingTree(graph_module.cKDTree):
         def query(self, x, k=1, **kwargs):
             dist, nbr = super().query(x, k=k, **kwargs)
-            calls.append((len(x), k, nbr))
+            calls.append((np.array(x), k, nbr))
             return dist, nbr
 
     monkeypatch.setattr(graph_module, "cKDTree", RecordingTree)
@@ -187,9 +191,13 @@ class TestKnnSelection:
             self.assert_matches_naive(pts, k)
         # The first k = 5 window holds 7 of the 30 coincident points, so some
         # rows of the block miss themselves; the settle rule re-queries those.
-        _, kq, window = tree_queries[0]
-        assert kq == 7
-        assert (window != np.arange(len(pts))[:, None]).all(axis=1).any()
+        # All 30 are queried, but fewer than 30 ids fill their windows, so
+        # some point is missing from its own window, whatever the query order.
+        queried, kq, window = tree_queries[0]
+        assert (len(queried), kq) == (len(pts), 7)
+        block = (queried == 0.25).all(axis=1)
+        assert block.sum() == 30
+        assert len(np.unique(window[block])) < 30
 
     def test_k_is_n_minus_one(self):
         pts = np.vstack([int_lattice(2), [[0.5, 0.5, 0.5]]])
@@ -199,7 +207,7 @@ class TestKnnSelection:
         pts = int_lattice(6)
         n = len(pts)
         build_knn_graph(PointCloud(pts), k=6)
-        calls = [(rows, k) for rows, k, _ in tree_queries]
+        calls = [(len(queried), k) for queried, k, _ in tree_queries]
         assert calls[0] == (n, 8)
         assert len(calls) > 1
         assert all(rows < n for rows, _ in calls[1:])
@@ -285,6 +293,49 @@ class TestKnnSelection:
         cloud = PointCloud([[1.5e308, 0.0, 0.0], [-1.5e308, 0.0, 0.0]])
         with pytest.raises(ValueError, match="overflow"):
             build_knn_graph(cloud, k=1)
+
+
+class TestTreeOrder:
+    """Both trees are queried in leaf order; no answer may depend on it."""
+
+    @pytest.mark.parametrize("step", [0.01, 0.025, 0.05, 0.1])
+    @pytest.mark.parametrize("exponent", [-3, 0, 2])
+    def test_ball_counts_match_brute_force_on_lattices(self, step, exponent):
+        # Lattice pairs sit exactly at a radius of a few steps, so shrinking
+        # it by one ulp must change some count: the boundary is exercised.
+        rng = np.random.default_rng(int(step * 1000) + exponent)
+        pts = int_lattice(8)[rng.choice(512, size=300, replace=False)]
+        pts = np.ldexp(rng.permutation(np.vstack([pts, pts[:20]])) * step, exponent)
+        for r in np.ldexp(np.array([1.0, 2.0, 3.0]) * step, exponent):
+            counts = ball_count(PointCloud(pts), r)
+            np.testing.assert_array_equal(counts, oracles.naive_ball_count(pts, r))
+            inside = ball_count(PointCloud(pts), np.nextafter(r, 0.0))
+            np.testing.assert_array_equal(inside, oracles.naive_ball_count(pts, np.nextafter(r, 0.0)))
+            assert (inside < counts).any()
+
+    def test_permutation_equivariance_on_snapped_cloud(self):
+        # Permuting a tie-heavy cloud reorders the tree's leaves and queries.
+        # Ball counts follow their points; each kNN row keeps its neighbors'
+        # distances, with ties still going to the lower (new) index. A 1/8
+        # lattice keeps every distance exact, so the oracle sees the same ties.
+        rng = np.random.default_rng(43)
+        pts = np.round(rng.uniform(-1, 1, size=(500, 3)) * 8) / 8
+        pts = np.vstack([pts, pts[:60]])
+        perm = rng.permutation(len(pts))
+        moved = pts[perm]
+        for r in (0.125, 0.25):
+            np.testing.assert_array_equal(
+                ball_count(PointCloud(moved), r), ball_count(PointCloud(pts), r)[perm]
+            )
+
+        def neighbor_distances(p, selected):
+            return np.linalg.norm(p[selected] - p[:, None], axis=2)
+
+        knn, moved_knn = graph_module._knn_select(pts, 10), graph_module._knn_select(moved, 10)
+        np.testing.assert_array_equal(
+            neighbor_distances(moved, moved_knn), neighbor_distances(pts, knn)[perm]
+        )
+        np.testing.assert_array_equal(moved_knn, oracles.naive_knn(moved.tolist(), 10))
 
 
 class TestSignalOps:
