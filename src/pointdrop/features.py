@@ -86,11 +86,6 @@ class FeatureMatrix:
         return self.values[:, FEATURE_NAMES.index(name)]
 
 
-def _column_norms(a: np.ndarray) -> np.ndarray:
-    """Each column's Euclidean norm as np.linalg.norm gives it, from one cheaper einsum."""
-    return np.sqrt(np.einsum("ij,ij->j", a, a))
-
-
 def _block_pcg(system: sp.csr_matrix, rhs: np.ndarray, max_iter: int):
     """Jacobi-preconditioned CG on every column of ``rhs`` at once, from x0 = rhs.
 
@@ -105,9 +100,9 @@ def _block_pcg(system: sp.csr_matrix, rhs: np.ndarray, max_iter: int):
     z = r / diag[:, None]
     d = z.copy()
     rz = np.einsum("ij,ij->j", r, z)
-    target = _PCG_RTOL * _column_norms(rhs)
+    target = _PCG_RTOL * np.linalg.norm(rhs, axis=0)
     # Written so that a NaN residual keeps its column running into the cap.
-    active = ~(_column_norms(r) <= target)
+    active = ~(np.linalg.norm(r, axis=0) <= target)
     for _ in range(max_iter):
         if not active.any():
             break
@@ -120,7 +115,7 @@ def _block_pcg(system: sp.csr_matrix, rhs: np.ndarray, max_iter: int):
         rz_next = np.einsum("ij,ij->j", r, z)
         d = z + np.divide(rz_next, rz, out=np.zeros_like(rz), where=active) * d
         rz = rz_next
-        active = ~(_column_norms(r) <= target)
+        active = ~(np.linalg.norm(r, axis=0) <= target)
     return None if active.any() else x
 
 

@@ -149,25 +149,22 @@ def _read_table(text: str, width: int, noun: str) -> np.ndarray:
     """All data lines as an (m, width) array of finite floats.
 
     On a bad line, raises ValueError naming its 1-based number; ``noun``
-    names one column value in those messages. Plain text (no line break but
-    "\n", no ";", ``width`` values a line) is converted in one call.
+    names one column value in those messages. The data lines are joined with
+    a ";" marker after each and split once. When the token count is right and
+    every (width + 1)-th token is a marker, the markers are dropped and the
+    rest converted in one call; a marker left among them fails that call, so
+    a table comes back only when every line held ``width`` tokens.
     """
-    if not any(mark in text for mark in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029;"):
-        tokens = (text if text.endswith("\n") else text + "\n").replace("\n", " ; ").split()
-        if len(tokens) % (width + 1) == 0 and set(tokens[width :: width + 1]) == {";"}:
-            del tokens[width :: width + 1]
-            try:
-                table = np.array(tokens, dtype=np.float64).reshape(-1, width)
-                if np.isfinite(table).all():
-                    return table
-            except ValueError:  # a token float() rejects, such as a comment's
-                pass
-    try:
-        table = np.array([stripped.split() for _, stripped in _data_lines(text)], dtype=np.float64)
-        if table.shape[1:] == (width,) and np.isfinite(table).all():
-            return table
-    except ValueError:  # a ragged row or a token float() rejects
-        pass
+    lines = [stripped for _, stripped in _data_lines(text)]
+    tokens = " ; ".join(lines + [""]).split()
+    if len(tokens) == len(lines) * (width + 1) and tokens[width :: width + 1] == [";"] * len(lines):
+        del tokens[width :: width + 1]
+        try:
+            table = np.array(tokens, dtype=np.float64).reshape(-1, width)
+            if np.isfinite(table).all():
+                return table
+        except ValueError:  # a token float() rejects, a misplaced ";" among them
+            pass
     for lineno, stripped in _data_lines(text):
         tokens = stripped.split()
         if len(tokens) != width:
@@ -181,7 +178,7 @@ def _read_table(text: str, width: int, noun: str) -> np.ndarray:
             raise ValueError(f"malformed line {lineno}: {stripped!r} is not numeric") from None
         if not np.isfinite(row).all():
             raise ValueError(f"non-finite {noun} on line {lineno}")
-    return np.empty((0, width))  # no data lines at all
+    raise AssertionError("every data line converted, yet the table was refused")
 
 
 def parse_xyz(text: str) -> PointCloud:

@@ -159,7 +159,7 @@ def tree_queries(monkeypatch):
     class RecordingTree(graph_module.cKDTree):
         def query(self, x, k=1, **kwargs):
             dist, nbr = super().query(x, k=k, **kwargs)
-            calls.append((np.array(x), k, nbr))
+            calls.append((np.array(x), k, nbr.copy()))  # as returned, before any window sort
             return dist, nbr
 
     monkeypatch.setattr(graph_module, "cKDTree", RecordingTree)

@@ -2,9 +2,8 @@
 
 The readers must agree with a token-by-token ``float`` oracle on every text:
 the same array bits, or a ValueError naming the oracle's first bad line.
-Plain valid texts (every line ended by "\n" alone) are converted without a
-line walk, other valid texts are walked once, and only a bad one gets the
-second, line-finding pass. The chunked writer must equal the per-number ``format_number`` join
+Valid texts are walked once; only a bad one gets the second, line-finding
+pass. The chunked writer must equal the per-number ``format_number`` join
 byte for byte, both on arbitrary floats and inside its exact kernel's range,
 and a deterministic sweep checks the kernel's rounding and exponent cases.
 Only ValueError may escape the parsers of untrusted text.
@@ -42,18 +41,18 @@ GOOD_TOKENS = st.one_of(
 BAD_TOKENS = st.sampled_from(["abc", "1__0", "_1", "1_", "0x10", "1.5f", "nan(1)", "--1",
                               "1e", ".", "#", "1,2", "\xbd", ";", "1;2"])
 TOKENS = st.one_of(GOOD_TOKENS, GOOD_TOKENS, GOOD_TOKENS, BAD_TOKENS)
-# Whitespace inside a line, ASCII and Unicode; the second set also ends a line.
-PLAIN_SPACES = st.sampled_from([" ", "  ", "\t", "\xa0", "\u2003", "\u3000", "\x1f"])
-SPACES = st.one_of(PLAIN_SPACES, st.sampled_from(["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85"]))
+# Whitespace inside a line, ASCII and Unicode; \x0b, \x0c, \x1c-\x1e and \x85 also end a line.
+SPACES = st.sampled_from([" ", "  ", "\t", "\xa0", "\u2003", "\u3000", "\x1f", "\x0b", "\x0c",
+                          "\x1c", "\x1d", "\x1e", "\x85"])
 LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r", "\u2028", "\u2029"])
 
 
 @st.composite
-def data_line(draw, width, spaces=SPACES):
+def data_line(draw, width):
     # Mostly the right token count, sometimes ragged.
     count = draw(st.one_of(st.just(width), st.just(width), st.integers(0, width + 2)))
     tokens = [draw(TOKENS) for _ in range(count)]
-    gaps = [draw(spaces) for _ in range(count + 1)]
+    gaps = [draw(SPACES) for _ in range(count + 1)]
     head = gaps[0] if draw(st.booleans()) else ""
     tail = gaps[-1] if draw(st.booleans()) else ""
     return head + "".join(t + g for t, g in zip(tokens, gaps[1:-1] + [""])) + tail
@@ -61,21 +60,18 @@ def data_line(draw, width, spaces=SPACES):
 
 @st.composite
 def text_of(draw, width):
-    # Half the texts are plain, breaking lines only at "\n", the readers' one-call path.
-    plain = draw(st.booleans())
-    spaces, line_ends = (PLAIN_SPACES, st.just("\n")) if plain else (SPACES, LINE_ENDS)
     lines = draw(
         st.lists(
             st.one_of(
-                data_line(width, spaces),
-                data_line(width, spaces),
-                data_line(width, spaces),
+                data_line(width),
+                data_line(width),
+                data_line(width),
                 st.sampled_from(["", " ", "\t", "# comment", "  #x 1 2 3", "#", "\u3000"]),
             ),
             max_size=8,
         )
     )
-    ends = [draw(line_ends) for _ in lines]
+    ends = [draw(LINE_ENDS) for _ in lines]
     if ends and draw(st.booleans()):
         ends[-1] = ""  # no final line end
     text = "".join(line + end for line, end in zip(lines, ends))
@@ -126,14 +122,6 @@ class TestFastReader:
     def test_same_bits_or_first_bad_line(self, parse, width, data):
         assert_matches_oracle(parse, width, data.draw(text_of(width)))
 
-    def test_plain_text_needs_no_line_walk(self, parse, width):
-        body = "".join(" ".join(["1_0"] * width) + "\n" for _ in range(3)) + "\u3000-0" * width
-        text = CountingText(body)
-        got = outcome(parse, text)
-        assert text.walks == 0
-        assert got[2] == np.array([[10.0] * width] * 3 + [[-0.0] * width]).tobytes()
-        assert_matches_oracle(parse, width, body)
-
     def test_valid_texts_take_fast_path(self, parse, width):
         body = "# c\n\n" + " ".join(["1_0"] * width) + "\r\n\u3000" + " ".join(["-0"] * width)
         text = CountingText(body)
@@ -148,6 +136,8 @@ class TestFastReader:
     [
         (parse_xyz, "1 2 3\n4 5\n", "line 2"),  # ragged
         (parse_xyz, "1 2 3 4\n5 6\n", "line 1"),  # 6 tokens, divisible by 3
+        (parse_xyz, "1 2 3 ; 4 5 6\n", "line 1"),  # a ";" where a line marker would sit
+        (parse_xyz, "1 2\n; 4 5 6\n", "line 1"),
         (parse_xyz, "1 2 3\nnan 1 1\n", "line 2"),
         (parse_xyz, "1 2 3\n1e400 0 0\n", "line 2"),
         (parse_xyz, "1 2 3\n0 zero 0\n", "line 2"),
