@@ -97,7 +97,7 @@ def rank_top_n(scores: ScoreVector, n_top: int) -> np.ndarray:
     """Indices of the n_top largest scores, descending, ties by ascending index."""
     if not 0 <= n_top <= scores.n:
         raise ValueError(f"top count must satisfy 0 <= N <= {scores.n}, got {n_top}")
-    return np.lexsort((np.arange(scores.n), -scores.values))[:n_top]
+    return np.argsort(-scores.values, kind="stable")[:n_top]
 
 
 def _drop(cloud: PointCloud, n_drop: int, choose) -> AttackResult:

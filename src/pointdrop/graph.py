@@ -16,11 +16,11 @@ Edge weights follow a Gaussian kernel
 
     W[i, j] = exp(-||p_i - p_j||^2 / sigma^2)
 
-which keeps weights in (0, 1]. The graph exposes the degree vector D and,
-built on first use, the two operators the features apply to whole signal
-blocks: the combinatorial Laplacian L = D - W (positive semi-definite) and
-the row-stochastic transition matrix A = D^-1 W. The graph is a frozen value:
-no field can be rebound, and D and the CSR arrays of W, L and A are read-only.
+which keeps weights in (0, 1]. ``NeighborhoodGraph(sigma, W)`` derives n and
+the degrees D from W and makes W's arrays read-only in place; on first use it
+builds the Laplacian L = D - W (positive semi-definite) and the row-stochastic
+transition matrix A = D^-1 W. So every graph is a frozen value: no field can
+be rebound, and D and the CSR arrays of W, L and A are read-only.
 """
 
 from __future__ import annotations
@@ -76,10 +76,14 @@ def _frozen(matrix: sp.csr_matrix) -> sp.csr_matrix:
 class NeighborhoodGraph:
     """Symmetrized kNN graph: sparse weights, degrees, and operators cached on first use."""
 
-    n: int
+    n: int = field(init=False)
     sigma: float
     adjacency: sp.csr_matrix = field(repr=False)
-    degrees: np.ndarray = field(repr=False)
+    degrees: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", self.adjacency.shape[0])
+        object.__setattr__(self, "degrees", _readonly(_frozen(self.adjacency).sum(axis=1)).ravel())
 
     @cached_property
     def laplacian(self) -> sp.csr_matrix:
@@ -189,5 +193,4 @@ def build_knn_graph(cloud: PointCloud, k: int, sigma: float | None = None) -> Ne
     # exp(-700), so the overflow is expected and harmless.
     with np.errstate(over="ignore"):
         adjacency.data = np.exp(-np.minimum((lengths / width) ** 2, _MAX_KERNEL_EXPONENT))
-    degrees = _readonly(_frozen(adjacency).sum(axis=1)).ravel()
-    return NeighborhoodGraph(n=n, sigma=sigma, adjacency=adjacency, degrees=degrees)
+    return NeighborhoodGraph(sigma=sigma, adjacency=adjacency)

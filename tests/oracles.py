@@ -17,13 +17,22 @@ import numpy as np
 _EXP_CLAMP = 700.0
 
 
+def _tree_length(p, q):
+    """sqrt((dx^2 + dy^2) + dz^2), summed in that order: the length a k-d tree measures."""
+    dx, dy, dz = (a - b for a, b in zip(p, q))
+    return math.sqrt((dx * dx + dy * dy) + dz * dz)
+
+
 def naive_knn(points, k):
-    """k nearest neighbors per point by exhaustive search, ties to lower index."""
+    """k nearest neighbors per point by exhaustive search, ties to lower index.
+
+    Pairs are ranked by ``_tree_length``, the rule ``naive_ball_count`` states.
+    """
     n = len(points)
     out = []
     for i in range(n):
         ranked = sorted(
-            (math.dist(points[i], points[j]), j) for j in range(n) if j != i
+            (_tree_length(points[i], points[j]), j) for j in range(n) if j != i
         )
         out.append([j for _, j in ranked[:k]])
     return out
@@ -106,13 +115,7 @@ def naive_features(points, k, sigma=None, gamma=0.5, r=0.1):
 
     centroid = points.mean(axis=0)
     cdist = np.array([math.dist(points[i], centroid) for i in range(n)])
-    ball = np.array(
-        [
-            sum(1 for j in range(n) if math.dist(points[i], points[j]) <= r)
-            for i in range(n)
-        ],
-        dtype=np.float64,
-    )
+    ball = naive_ball_count(points, r)
 
     qstar = np.linalg.solve(np.eye(n) + gamma * laplacian, points)
     h = np.array([math.dist(points[i], qstar[i]) for i in range(n)])

@@ -109,6 +109,11 @@ class TestRankTopN:
     def test_tie_lower_index_first(self):
         sv = ScoreVector([0.5, 0.5], RAW_SALIENCY)
         np.testing.assert_array_equal(rank_top_n(sv, 1), [0])
+        # Signed zeros compare equal, so they tie too; so does an all-equal vector.
+        for values in ([0.0, -0.0, 1.0, -0.0, 0.0, -1.0], [-0.0, 0.0, -0.0], [2.5] * 7):
+            expected = sorted(range(len(values)), key=lambda i: (-values[i], i))
+            sv = ScoreVector(values, RAW_SALIENCY)
+            np.testing.assert_array_equal(rank_top_n(sv, len(values)), expected)
 
     def test_nested_rankings(self):
         rng = np.random.default_rng(4)

@@ -21,6 +21,7 @@ import pointdrop
 from pointdrop import (
     PointCloud,
     ScoreVector,
+    build_knn_graph,
     extract_features,
     fit_mlr,
     get_preset,
@@ -867,8 +868,9 @@ def test_parser_built_once_and_reusable(capsys, tmp_path):
 
 def test_benchmark_tracer_wraps_the_call_path(tmp_path):
     # perfbench's worker wraps each traced function at every module attribute
-    # that holds it; ball_count's span must nest in extract_features', and
-    # uninstalling must leave one function under all three names.
+    # that holds it; ball_count's span must nest in extract_features', the
+    # graph and LPF spans must count the graph's edges and the system's
+    # nonzeros, and uninstalling must leave one function under all three names.
     spec = importlib.util.spec_from_file_location(
         "perfbench_worker", Path(__file__).parents[1] / "perfbench" / "worker.py"
     )
@@ -878,6 +880,7 @@ def test_benchmark_tracer_wraps_the_call_path(tmp_path):
     tracer = worker.Tracer(modules)
     cloud = tmp_path / "cloud.xyz"
     cloud.write_text(write_xyz(random_cloud(54, n=64)), encoding="utf-8")
+    graph = build_knn_graph(random_cloud(54, n=64), 5)
     tracer.install()
     try:
         assert cli_module.main(["features", str(cloud), "--k", "5"]) == 0
@@ -885,6 +888,9 @@ def test_benchmark_tracer_wraps_the_call_path(tmp_path):
         tracer.uninstall()
     (ball,) = [span for span in tracer.spans if span[0] == "features.ball_count"]
     assert tracer.spans[ball[3]][0] == "features.extract_features"
+    work = {span[0]: span[5] for span in tracer.spans}
+    assert work["graph.build_knn_graph"] == graph.num_edges
+    assert work["features.lpf_solve"] == graph.adjacency.nnz + graph.n
     assert pointdrop.ball_count is pointdrop.features.ball_count is pointdrop.graph.ball_count
 
 

@@ -1,6 +1,7 @@
 """Neighborhood graph construction and its two operators, A and L."""
 
 import contextvars
+import inspect
 import math
 import os
 import subprocess
@@ -9,10 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import oracles
 from pointdrop import graph as graph_module
-from pointdrop import PointCloud, ball_count, build_knn_graph, lpf_solve
+from pointdrop import NeighborhoodGraph, PointCloud, ball_count, build_knn_graph, lpf_solve
 from test_acceptance import box_cloud
 
 PATH3 = PointCloud([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
@@ -178,6 +180,14 @@ class TestKnnSelection:
         rng = np.random.default_rng(40)
         pts = np.round(box_cloud(rng, n=260).points, 2)
         pts = rng.permutation(np.vstack([pts, pts[:40]]))
+        self.assert_matches_naive(pts, 10)
+
+    def test_snapped_uniform_with_duplicates(self):
+        # One-decimal coordinates: many distances differ from math.dist's in
+        # the last bit, so the oracle must measure lengths as the tree does.
+        rng = np.random.default_rng(0)
+        pts = np.round(rng.uniform(-1, 1, (500, 3)), 1)
+        pts = rng.permutation(np.vstack([pts, pts[:60]]))
         self.assert_matches_naive(pts, 10)
 
     @pytest.mark.parametrize("k", [3, 6, 26])
@@ -359,6 +369,21 @@ class TestSignalOps:
         for operator in (a, g.laplacian):
             operator @ np.ones((g.n, 2))
         np.testing.assert_array_equal(a.indices, indices)
+
+    def test_graph_built_by_hand_is_consistent_and_frozen(self):
+        # The constructor takes only sigma and W: n and D come from W, and W's
+        # arrays are frozen in place, whoever built W.
+        assert list(inspect.signature(NeighborhoodGraph).parameters) == ["sigma", "adjacency"]
+        w = sp.csr_matrix(np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.25], [0.0, 0.25, 0.0]]))
+        g = NeighborhoodGraph(sigma=1.0, adjacency=w)
+        assert g.adjacency is w
+        for part in (w.data, w.indices, w.indptr, g.degrees):
+            assert not part.flags.writeable
+        assert g.n == 3
+        np.testing.assert_array_equal(g.degrees, np.asarray(w.sum(axis=1)).ravel())
+        np.testing.assert_allclose(g.transition @ np.ones(3), 1.0, rtol=0, atol=1e-15)
+        with pytest.raises(ValueError, match="graph has 3 nodes but the cloud has 5 points"):
+            lpf_solve(g, random_cloud(0, n=5), 0.5)
 
     def test_transition_preserves_constant(self):
         g = build_knn_graph(random_cloud(10), k=10)
