@@ -1,7 +1,9 @@
 """Fourteen per-point geometric features from graph-signal filtering.
 
 The module assembles the 14 columns from the graph, the ball counts (both
-queried in ``graph``) and the low-pass solve. Feature columns, in fixed order:
+queried in ``graph``; a count is taken from the graph wherever the point's
+ball lies inside its k nearest neighbours) and the low-pass solve. Feature
+columns, in fixed order:
 
   f1       local variation v_i = ||p_i - pbar_i||
   f2..f4   weighted neighborhood average coordinates pbar = A p (x, y, z)
@@ -22,8 +24,10 @@ q* is the low-pass-filtered cloud: each coordinate column solves the
 positive definite system (I + gamma L) q*_c = p_c, so large gamma pulls
 q* toward the graph consensus and h measures high-frequency content. By
 default the three columns are solved together by Jacobi-preconditioned
-block conjugate gradient; sparse LU is the fallback when gamma times the
-largest degree makes the system ill conditioned or CG does not converge.
+block conjugate gradient, its iterates held column-major (three contiguous
+rows of n values); sparse LU is the fallback when gamma times the largest
+degree makes the system ill conditioned or CG breaks down or does not
+converge.
 The test oracle solves the same system densely.
 
 Lengths are computed in power-of-two units (the scale rule of ``io``): a
@@ -55,6 +59,7 @@ _LENGTH_COLUMNS = np.arange(NUM_FEATURES) != _COUNT_COLUMN
 # gamma * d_max = 45 at n = 1024 and above 200 at n = 10k); above it LU runs.
 _PCG_MAX_GAMMA_DEGREE = 32.0
 _PCG_RTOL = 1e-12  # per-column ||r|| / ||p|| at which CG stops
+_NORMAL_MIN = np.finfo(np.float64).tiny  # the smallest positive normal float
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,33 +95,50 @@ def _block_pcg(system: sp.csr_matrix, rhs: np.ndarray, max_iter: int):
     """Jacobi-preconditioned CG on every column of ``rhs`` at once, from x0 = rhs.
 
     The preconditioner is the diagonal of ``system``. The columns share one sparse matvec
-    per step but keep their own step sizes. A column stops once ||r|| <= _PCG_RTOL ||rhs||;
-    it is then frozen by a mask, so an all-zero column (r = 0 from the start) never divides
-    0 by 0. Returns None if any column is still running after ``max_iter``.
+    per step but keep their own step sizes. The iterates are held column-major, one
+    C-contiguous row of length n per column of ``rhs``, so every step and reduction
+    runs over n contiguous values, not n rows of width 3. A column stops once
+    ||r|| <= _PCG_RTOL ||rhs||; it is then frozen by a mask, so an all-zero column
+    (r = 0 from the start) never divides 0 by 0. Returns None, for the caller's LU
+    fallback, if a running column's d^T A d is not a positive normal float (a
+    breakdown) or any column is still running after ``max_iter``; otherwise the
+    solution, shaped like ``rhs``.
     """
     diag = system.diagonal()
-    x = rhs.copy()
-    r = rhs - system @ x
-    z = r / diag[:, None]
+
+    def matvec(v):
+        return np.ascontiguousarray((system @ v.T).T)
+
+    def norms(v):
+        return np.sqrt(np.einsum("ij,ij->i", v, v))
+
+    x = rhs.T.copy()
+    target = _PCG_RTOL * norms(x)
+    r = x - matvec(x)
+    z = r / diag
     d = z.copy()
-    rz = np.einsum("ij,ij->j", r, z)
-    target = _PCG_RTOL * np.linalg.norm(rhs, axis=0)
+    rz = np.einsum("ij,ij->i", r, z)
     # Written so that a NaN residual keeps its column running into the cap.
-    active = ~(np.linalg.norm(r, axis=0) <= target)
+    active = ~(norms(r) <= target)
     for _ in range(max_iter):
         if not active.any():
             break
-        ad = system @ d
-        dad = np.einsum("ij,ij->j", d, ad)
-        alpha = np.divide(rz, dad, out=np.zeros_like(rz), where=active)
+        ad = matvec(d)
+        dad = np.einsum("ij,ij->i", d, ad)
+        # A running column whose d^T A d is 0, subnormal or NaN has underflowed
+        # (or broken down): its step and residual norm mean nothing from here.
+        if not np.all(dad[active] >= _NORMAL_MIN):
+            return None
+        alpha = np.divide(rz, dad, out=np.zeros_like(rz), where=active)[:, None]
         x += alpha * d
         r -= alpha * ad
-        z = r / diag[:, None]
-        rz_next = np.einsum("ij,ij->j", r, z)
-        d = z + np.divide(rz_next, rz, out=np.zeros_like(rz), where=active) * d
+        z = r / diag
+        rz_next = np.einsum("ij,ij->i", r, z)
+        d *= np.divide(rz_next, rz, out=np.zeros_like(rz), where=active)[:, None]
+        d += z
         rz = rz_next
-        active = ~(np.linalg.norm(r, axis=0) <= target)
-    return None if active.any() else x
+        active = ~(norms(r) <= target)
+    return None if active.any() else x.T
 
 
 def lpf_solve(graph: NeighborhoodGraph, cloud: PointCloud, gamma: float) -> np.ndarray:
@@ -204,7 +226,7 @@ def extract_features(
             vh_bar[:, 0],
             vh_tilde[:, 0],
             np.linalg.norm(points - points.mean(axis=0), axis=1),
-            ball_count(cloud, ball_radius),
+            ball_count(cloud, ball_radius, graph=graph, k=k),
             h,
             vh_bar[:, 1],
             vh_tilde[:, 1],

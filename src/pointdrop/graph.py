@@ -10,6 +10,10 @@ points or more both queries run on one thread per CPU of the affinity mask,
 except inside one share of a corpus fit run across processes. Each row's
 answer is computed whole by one thread from the point set alone, so neither
 tree shape, query order nor thread count changes the graph or the counts.
+Given the cloud's kNN graph, ``ball_count`` counts the rows whose k-th
+neighbour lies beyond the radius from W's entries and queries the tree for the
+rest only: at the CLI defaults, 1-120 rows of each of perfbench's 1024-point
+attack clouds, but every row of its 100k-point scan.
 Lengths are taken in the cloud's power-of-two units (the scale rule of
 ``io``), so no cloud scale underflows or overflows the squared distances.
 Edge weights follow a Gaussian kernel
@@ -132,18 +136,64 @@ def _knn_select(points: np.ndarray, k: int) -> np.ndarray:
     return selected
 
 
-def ball_count(cloud: PointCloud, r: float) -> np.ndarray:
-    """Points within the closed ball of radius r around each point, self included (f11)."""
+def _squared_lengths(points: np.ndarray, pattern: sp.csr_matrix) -> np.ndarray:
+    """(dx^2 + dy^2) + dz^2 for each stored entry (i, j) of ``pattern``, in CSR order.
+
+    The sum a k-d tree compares, in its order: it starts from 0 and adds one coordinate
+    at a time, np.linalg.norm's order, to spare memory. As p_i - p_j = -(p_j - p_i)
+    exactly, both entries of a symmetric pair agree.
+    """
+    per_row = np.diff(pattern.indptr)
+    return sum(
+        (np.repeat(coordinate, per_row) - np.take(coordinate, pattern.indices)) ** 2
+        for coordinate in points.T
+    )
+
+
+def ball_count(
+    cloud: PointCloud, r: float, *, graph: NeighborhoodGraph | None = None, k: int | None = None
+) -> np.ndarray:
+    """Points within the closed ball of radius r around each point, self included (f11).
+
+    A point j is inside when s = (dx^2 + dy^2) + dz^2 <= r^2, in the cloud's units.
+    Given ``graph = build_knn_graph(cloud, k)`` and that same k, a row with fewer
+    than k entries of W at sqrt(s) <= sqrt(r^2) is settled from W alone: W's row
+    holds the row's k nearest, so its k-th neighbour lies beyond the ball, and so
+    does every other point, ranked after it by the tree's root (ties to the lower
+    index). Its count is 1 + #{j in W's row : s <= r^2}. Roots, not sums, are
+    compared with the radius, since two sums can share one root. Unsettled rows,
+    and every row without a graph, are counted by a k-d tree query in the tree's
+    order, so the counts equal the tree's whichever way a row is counted.
+    """
     if not r > 0:
         raise ValueError(f"ball radius must be positive, got {r}")
+    if (graph is None) != (k is None):
+        raise ValueError("ball_count takes a graph and its k together")
     points, exponent = cloud._units
     with np.errstate(over="ignore"):  # a radius of inf units counts every point, as it should
         radius = np.ldexp(r, -exponent)
-    tree = cKDTree(points, balanced_tree=False)
+        r2 = radius * radius
     counts = np.empty(cloud.n, dtype=np.int64)
-    counts[tree.indices] = tree.query_ball_point(
-        points[tree.indices], radius, return_length=True, workers=_tree_workers(cloud.n)
-    )
+    unsettled = np.ones(cloud.n, dtype=bool)
+    if graph is not None:
+        if graph.n != cloud.n:
+            raise ValueError(f"graph has {graph.n} nodes but the cloud has {cloud.n} points")
+        # Each row of W holds its point's k nearest, so no row is empty, as reduceat needs.
+        indptr = graph.adjacency.indptr
+        if not 1 <= k <= np.diff(indptr).min():
+            raise ValueError(f"k must be between 1 and the fewest entries in a row of W, got {k}")
+        squared = _squared_lengths(points, graph.adjacency)
+        starts = indptr[:-1]
+        # Compare roots, not sums, with the radius: the tree ranks neighbours by
+        # the root, and two sums can share one.
+        unsettled = np.add.reduceat(np.sqrt(squared) <= np.sqrt(r2), starts) >= k
+        counts[~unsettled] = 1 + np.add.reduceat(squared <= r2, starts)[~unsettled]
+    if unsettled.any():
+        tree = cKDTree(points, balanced_tree=False)
+        order = tree.indices[unsettled[tree.indices]]
+        counts[order] = tree.query_ball_point(
+            points[order], radius, return_length=True, workers=_tree_workers(cloud.n)
+        )
     return counts
 
 
@@ -172,12 +222,10 @@ def build_knn_graph(cloud: PointCloud, k: int, sigma: float | None = None) -> Ne
     neighbors = np.sort(_knn_select(points, k), axis=1).ravel()
     knn = sp.csr_matrix((np.ones(n * k, dtype=bool), neighbors, np.arange(0, n * k + 1, k)), (n, n))
     adjacency = knn + knn.T
-    rows, cols = np.repeat(np.arange(n), np.diff(adjacency.indptr)), adjacency.indices
-    # np.linalg.norm's sum, one coordinate at a time to spare memory; as
-    # p_i - p_j = -(p_j - p_i) exactly, both entries of a pair get one length.
-    lengths = np.sqrt(sum((coordinate[rows] - coordinate[cols]) ** 2 for coordinate in points.T))
+    lengths = np.sqrt(_squared_lengths(points, adjacency))
     if sigma is None:
-        mean_length = float(lengths[rows < cols].mean())
+        rows = np.repeat(np.arange(n), np.diff(adjacency.indptr))
+        mean_length = float(lengths[rows < adjacency.indices].mean())
         if mean_length == 0.0:
             # Every retained edge joins coincident points; any width gives
             # weight exp(0) = 1, so report a neutral one.

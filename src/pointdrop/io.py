@@ -46,8 +46,8 @@ SCORE_KINDS = (RAW_SALIENCY, NORMALIZED_ADVERSARIAL, PREDICTED)
 
 
 def _readonly(arr: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """A read-only copy of ``arr`` as ``dtype``: how every result type stores an array."""
-    out = np.array(arr, dtype=dtype)
+    """A read-only C-order copy of ``arr`` as ``dtype``: how every result type stores an array."""
+    out = np.array(arr, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
 

@@ -333,9 +333,10 @@ class TestFitPool:
         monkeypatch.setattr(ProcessPoolExecutor, "map", recording)
         return sizes
 
-    def fit(self, capsys, monkeypatch, cpus, cloud_dir, scores_dir):
+    def fit(self, capsys, monkeypatch, cpus, cloud_dir, scores_dir, *options):
         monkeypatch.setattr(cli_module, "_usable_cpus", lambda: cpus)
-        return run(capsys, ["fit", str(cloud_dir), str(scores_dir), "--k", "6", "--top-n", "20"])
+        argv = ["fit", str(cloud_dir), str(scores_dir), "--k", "6", "--top-n", "20", *options]
+        return run(capsys, argv)
 
     def test_bytes_independent_of_process_count(self, capsys, monkeypatch, tmp_path, shares):
         cloud_dir, scores_dir = self.setup_corpus(tmp_path)
@@ -382,7 +383,8 @@ class TestFitPool:
     def test_parent_share_queries_single_threaded(self, capsys, monkeypatch, tmp_path, shares):
         # Thread every query, then record this process's kNN and ball queries:
         # a pooled share runs each on one thread, a serial fit on every usable
-        # CPU (4 here).
+        # CPU (4 here). A unit ball holds more than 6 points around the middle
+        # of these clouds, so those rows' counts still go to the tree.
         workers, ball_workers = [], []
 
         class RecordingTree(graph_module.cKDTree):
@@ -402,7 +404,9 @@ class TestFitPool:
         for cpus, expected in ((2, 1), (1, 4)):
             workers.clear()
             ball_workers.clear()
-            results.append(self.fit(capsys, monkeypatch, cpus, cloud_dir, scores_dir))
+            results.append(
+                self.fit(capsys, monkeypatch, cpus, cloud_dir, scores_dir, "--ball-radius", "1")
+            )
             assert workers and set(workers) == {expected}
             assert ball_workers and set(ball_workers) == {expected}
         assert shares == [2]

@@ -17,8 +17,10 @@ from pointdrop import (
     PointCloud,
     ball_count,
     build_knn_graph,
+    drop_attack,
     extract_features,
     features_to_csv,
+    get_preset,
     lpf_solve,
     normalize_cloud,
 )
@@ -233,6 +235,13 @@ class TestLpfSolvers:
         assert lu_calls == [(64, 64)]
         np.testing.assert_array_equal(q, _lu_reference(g, cloud, 0.5))
 
+    def test_breakdown_returns_none(self):
+        # An indefinite system gives d^T A d = -8 on the first step: CG hands
+        # the solve to LU at once, with no division by a non-positive number
+        # (a RuntimeWarning would fail the test).
+        system = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert features._block_pcg(system, np.array([[1.0, 0.0], [-1.0, 0.0]]), 10) is None
+
     def test_planar_cloud_zero_column(self, lu_calls):
         pts = np.random.default_rng(32).uniform(-1.0, 1.0, size=(200, 3))
         pts[:, 2] = 0.0
@@ -358,6 +367,24 @@ class TestExtract:
         a = extract_features(cloud, k=5)
         b = extract_features(cloud, k=5)
         np.testing.assert_array_equal(a.values, b.values)
+
+    def test_memory_layout_does_not_change_results(self):
+        # A (3, n) array's transpose is Fortran-ordered; the cloud stores a
+        # C-ordered copy, so its centroid (f10) is summed in one order and the
+        # features and drop sets keep every bit.
+        rng = np.random.default_rng(23)
+        preset = get_preset("avg-N100")
+        for _ in range(3):
+            xyz = np.ascontiguousarray(box_cloud(rng, n=1024).points.T)  # (3, n)
+            assert xyz.T.flags.f_contiguous
+            c_order, f_order = PointCloud(np.ascontiguousarray(xyz.T)), PointCloud(xyz.T)
+            assert f_order.points.flags.c_contiguous
+            a, b = extract_features(c_order).values, extract_features(f_order).values
+            assert a.tobytes() == b.tobytes()
+            np.testing.assert_array_equal(
+                drop_attack(c_order, preset, 100).dropped_indices,
+                drop_attack(f_order, preset, 100).dropped_indices,
+            )
 
     def test_translation_invariances(self):
         cloud = random_cloud(19, n=25)

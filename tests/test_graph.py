@@ -11,10 +11,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from pointdrop import graph as graph_module
-from pointdrop import NeighborhoodGraph, PointCloud, ball_count, build_knn_graph, lpf_solve
+from pointdrop import (
+    NeighborhoodGraph,
+    PointCloud,
+    ball_count,
+    build_knn_graph,
+    extract_features,
+    lpf_solve,
+)
 from test_acceptance import box_cloud
 
 PATH3 = PointCloud([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
@@ -346,6 +355,147 @@ class TestTreeOrder:
             neighbor_distances(moved, moved_knn), neighbor_distances(pts, knn)[perm]
         )
         np.testing.assert_array_equal(moved_knn, oracles.naive_knn(moved.tolist(), 10))
+
+
+class TestBallCountFromGraph:
+    """f11 from the kNN graph: rows whose k-th neighbour lies beyond r never reach the tree."""
+
+    RADII = (0.05, 0.075, 0.1, 0.125, 0.15, 0.175, 0.2, 0.25, 0.28, 0.3)
+
+    @staticmethod
+    def clouds(kind, count=10, n=200):
+        """Float, one-decimal (with duplicates) or 1/8-lattice clouds, shuffled.
+
+        On the lattice, pairs lie exactly at 0.125 and 0.25, so both the ball's
+        boundary and the k-th neighbour's distance meet r exactly.
+        """
+        rng = np.random.default_rng(["float", "decimal", "lattice"].index(kind))
+        for _ in range(count):
+            if kind == "float":
+                pts = rng.uniform(-1, 1, size=(n, 3))
+            elif kind == "decimal":
+                pts = np.round(rng.uniform(-1, 1, size=(n, 3)), 1)
+                pts = np.vstack([pts, pts[: n // 10]])
+            else:
+                pts = int_lattice(8)[rng.choice(512, size=n, replace=False)] / 8
+                pts = np.vstack([pts, pts[: n // 10]])
+            yield rng.permutation(pts)
+
+    @pytest.fixture
+    def tree_rows(self, monkeypatch):
+        """How many rows each ball query sends to the k-d tree, in call order."""
+        rows = []
+
+        class RecordingTree(graph_module.cKDTree):
+            def query_ball_point(self, x, r, **kwargs):
+                rows.append(len(x))
+                return super().query_ball_point(x, r, **kwargs)
+
+        monkeypatch.setattr(graph_module, "cKDTree", RecordingTree)
+        return rows
+
+    @pytest.mark.parametrize("kind", ["float", "decimal", "lattice"])
+    def test_matches_brute_force(self, kind, tree_rows):
+        # 10 clouds x k in {1, 5, 10} x 10 radii: 300 cases per kind.
+        queried = total = 0
+        for pts in self.clouds(kind):
+            cloud = PointCloud(pts)
+            expected = {r: oracles.naive_ball_count(pts, r) for r in self.RADII}
+            for k in (1, 5, 10):
+                graph = build_knn_graph(cloud, k)
+                for r in self.RADII:
+                    tree_rows.clear()
+                    counts = ball_count(cloud, r, graph=graph, k=k)
+                    np.testing.assert_array_equal(counts, expected[r], err_msg=f"k={k}, r={r}")
+                    queried += sum(tree_rows)
+                    total += cloud.n
+        assert 0 < queried < total / 2  # both paths ran, the graph's on most rows
+
+    def test_extract_features_counts_from_its_graph(self, tree_rows):
+        # At the CLI defaults (k = 10, r = 0.1) a 1024-point box surface sends
+        # only its few crowded rows to the tree.
+        cloud = box_cloud(np.random.default_rng(5), n=1024)
+        expected = ball_count(cloud, 0.1)
+        assert tree_rows == [cloud.n]
+        tree_rows.clear()
+        np.testing.assert_array_equal(extract_features(cloud).column("f11"), expected)
+        assert sum(tree_rows) < cloud.n / 10
+
+    def test_k_is_n_minus_one(self, tree_rows):
+        # Every other point is a neighbour: a row goes to the tree only if its
+        # ball holds the whole cloud (the lattice's distances are exact).
+        pts = np.vstack([int_lattice(3) / 8, [[0.0625, 0.0625, 0.0625]]])
+        cloud = PointCloud(pts)
+        graph = build_knn_graph(cloud, len(pts) - 1)
+        queried = []
+        for r in (0.01, 0.125, 0.2, 0.25, 0.5):
+            tree_rows.clear()
+            counts = ball_count(cloud, r, graph=graph, k=len(pts) - 1)
+            expected = oracles.naive_ball_count(pts, r)
+            np.testing.assert_array_equal(counts, expected)
+            assert sum(tree_rows) == (expected == cloud.n).sum()
+            queried.append(sum(tree_rows))
+        assert queried == [0, 0, 0, 1, cloud.n]
+
+    def test_sums_sharing_the_radius_root(self):
+        # Two neighbours of the origin at one root, sqrt(s) = sqrt(r^2): the
+        # tree ranks them as tied and keeps the lower index (s > r^2, outside
+        # the ball), though the other (s = r^2) is inside. So the settle rule
+        # must compare roots; comparing sums would settle the origin's row
+        # and miss the second point. Each neighbour has a nearer companion, so
+        # the origin's row of W holds only the first.
+        r = 0.10000000000000005
+        outside = [0.026230650538860634, 0.08985022090409724, 0.03519788027414589]
+        inside = [0.036353656768131126, 0.08642994867575067, 0.034760259082636726]
+        pts = np.array([[0.0, 0.0, 0.0], outside, inside, outside, inside])
+        pts[3:, 0] += 0.001
+        squared = (pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1]) + pts[:, 2] * pts[:, 2]
+        assert np.sqrt(squared[1]) == np.sqrt(squared[2]) == np.sqrt(r * r)
+        assert squared[2] <= r * r < squared[1]
+        cloud = PointCloud(pts)
+        graph = build_knn_graph(cloud, 1)
+        assert graph.adjacency[0].indices.tolist() == [1]
+        counts = ball_count(cloud, r, graph=graph, k=1)
+        np.testing.assert_array_equal(counts, oracles.naive_ball_count(pts, r))
+        assert counts[0] == 2
+
+    @pytest.mark.parametrize(
+        "scale, r", [(1.0, math.inf), (1.0, 1e300), (1.0, 2.0**600), (2.0**-600, 1e-10)]
+    )
+    def test_radius_whose_square_overflows(self, scale, r):
+        # r^2 in the cloud's units overflows to inf (a warning would fail the
+        # test): every ball holds the cloud, so no row settles and the tree
+        # counts every point.
+        cloud = PointCloud(random_cloud(3, n=50).points * scale)
+        graph = build_knn_graph(cloud, 6)
+        np.testing.assert_array_equal(ball_count(cloud, r, graph=graph, k=6), np.full(50, 50))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sites=st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=2, max_size=40),
+        k=st.integers(1, 39),
+        r=st.sampled_from([0.1, 0.125, 0.2, 0.25, 0.3, 0.375, 0.5]),
+    )
+    def test_matches_brute_force_on_drawn_lattices(self, sites, k, r):
+        # Coordinates on a 1/8 lattice, repeated sites allowed: ties at r and at
+        # the k-th distance are the rule, not the exception.
+        pts = np.array(sites, dtype=float) / 8
+        k = min(k, len(pts) - 1)
+        cloud = PointCloud(pts)
+        counts = ball_count(cloud, r, graph=build_knn_graph(cloud, k), k=k)
+        np.testing.assert_array_equal(counts, oracles.naive_ball_count(pts, r))
+
+    def test_graph_and_k_go_together(self):
+        cloud = random_cloud(4, n=20)
+        graph = build_knn_graph(cloud, 4)
+        with pytest.raises(ValueError, match="graph and its k together"):
+            ball_count(cloud, 0.1, graph=graph)
+        with pytest.raises(ValueError, match="graph has 20 nodes but the cloud has 19 points"):
+            ball_count(PointCloud(cloud.points[:19]), 0.1, graph=graph, k=4)
+        fewest = int(np.diff(graph.adjacency.indptr).min())
+        for k in (0, fewest + 1):
+            with pytest.raises(ValueError, match=f"fewest entries in a row of W, got {k}"):
+                ball_count(cloud, 0.1, graph=graph, k=k)
 
 
 class TestSignalOps:
