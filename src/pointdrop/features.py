@@ -1,9 +1,8 @@
 """Fourteen per-point geometric features from graph-signal filtering.
 
 The module assembles the 14 columns from the graph, the ball counts (both
-queried in ``graph``; a count is taken from the graph wherever the point's
-ball lies inside its k nearest neighbours) and the low-pass solve. Feature
-columns, in fixed order:
+queried in ``graph``, from W wherever the graph's reach exceeds the radius)
+and the low-pass solve. Feature columns, in fixed order:
 
   f1       local variation v_i = ||p_i - pbar_i||
   f2..f4   weighted neighborhood average coordinates pbar = A p (x, y, z)
@@ -226,7 +225,7 @@ def extract_features(
             vh_bar[:, 0],
             vh_tilde[:, 0],
             np.linalg.norm(points - points.mean(axis=0), axis=1),
-            ball_count(cloud, ball_radius, graph=graph, k=k),
+            ball_count(cloud, ball_radius, graph=graph),
             h,
             vh_bar[:, 1],
             vh_tilde[:, 1],

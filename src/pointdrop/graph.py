@@ -10,10 +10,10 @@ points or more both queries run on one thread per CPU of the affinity mask,
 except inside one share of a corpus fit run across processes. Each row's
 answer is computed whole by one thread from the point set alone, so neither
 tree shape, query order nor thread count changes the graph or the counts.
-Given the cloud's kNN graph, ``ball_count`` counts the rows whose k-th
-neighbour lies beyond the radius from W's entries and queries the tree for the
-rest only: at the CLI defaults, 1-120 rows of each of perfbench's 1024-point
-attack clouds, but every row of its 100k-point scan.
+The graph keeps each row's k-th neighbour distance, its reach, and
+``ball_count`` counts the rows whose reach exceeds the radius from W, querying
+the tree for the rest only: at the CLI defaults, 1-120 rows of each of
+perfbench's 1024-point attack clouds, but every row of its 100k-point scan.
 Lengths are taken in the cloud's power-of-two units (the scale rule of
 ``io``), so no cloud scale underflows or overflows the squared distances.
 Edge weights follow a Gaussian kernel
@@ -24,7 +24,7 @@ which keeps weights in (0, 1]. ``NeighborhoodGraph(sigma, W)`` derives n and
 the degrees D from W and makes W's arrays read-only in place; on first use it
 builds the Laplacian L = D - W (positive semi-definite) and the row-stochastic
 transition matrix A = D^-1 W. So every graph is a frozen value: no field can
-be rebound, and D and the CSR arrays of W, L and A are read-only.
+be rebound, and D, reach and the CSR arrays of W, L and A are read-only.
 """
 
 from __future__ import annotations
@@ -78,16 +78,21 @@ def _frozen(matrix: sp.csr_matrix) -> sp.csr_matrix:
 
 @dataclass(frozen=True, eq=False)
 class NeighborhoodGraph:
-    """Symmetrized kNN graph: sparse weights, degrees, and operators cached on first use."""
+    """Symmetrized kNN graph: sparse weights, degrees, and operators cached on first use.
+
+    ``reach`` is each point's k-th neighbour distance in the cloud's units, or 0 for a given W.
+    """
 
     n: int = field(init=False)
     sigma: float
     adjacency: sp.csr_matrix = field(repr=False)
     degrees: np.ndarray = field(init=False, repr=False)
+    reach: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", self.adjacency.shape[0])
         object.__setattr__(self, "degrees", _readonly(_frozen(self.adjacency).sum(axis=1)).ravel())
+        object.__setattr__(self, "reach", _readonly(np.zeros(self.n)))
 
     @cached_property
     def laplacian(self) -> sp.csr_matrix:
@@ -105,8 +110,8 @@ class NeighborhoodGraph:
         return self.adjacency.nnz // 2
 
 
-def _knn_select(points: np.ndarray, k: int) -> np.ndarray:
-    """Indices of each point's k nearest neighbors, ordered by (distance, index).
+def _knn_select(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's k nearest neighbors, by (distance, index), and its k-th neighbor distance.
 
     Each query window is taken in (not self, distance, index) order and its
     columns 1..k kept; the tree returns it by distance, so only a window with a
@@ -120,6 +125,7 @@ def _knn_select(points: np.ndarray, k: int) -> np.ndarray:
     n = len(points)
     tree = cKDTree(points, balanced_tree=False)
     selected = np.empty((n, k), dtype=np.intp)
+    reach = np.empty(n)
     rows = tree.indices
     kq = min(n, k + 2)
     workers = _tree_workers(n)
@@ -131,9 +137,10 @@ def _knn_select(points: np.ndarray, k: int) -> np.ndarray:
         # dist stays as queried, self's 0 among it: dist[:, k] is the k-th neighbor's distance.
         settled = (dist[:, k] < dist[:, -1]) | (kq >= n)
         selected[rows[settled]] = nbr[settled, 1 : k + 1]
+        reach[rows[settled]] = dist[settled, k]
         rows = rows[~settled]
         kq = min(n, 2 * kq)
-    return selected
+    return selected, reach
 
 
 def _squared_lengths(points: np.ndarray, pattern: sp.csr_matrix) -> np.ndarray:
@@ -151,46 +158,37 @@ def _squared_lengths(points: np.ndarray, pattern: sp.csr_matrix) -> np.ndarray:
 
 
 def ball_count(
-    cloud: PointCloud, r: float, *, graph: NeighborhoodGraph | None = None, k: int | None = None
+    cloud: PointCloud, r: float, *, graph: NeighborhoodGraph | None = None
 ) -> np.ndarray:
     """Points within the closed ball of radius r around each point, self included (f11).
 
     A point j is inside when s = (dx^2 + dy^2) + dz^2 <= r^2, in the cloud's units.
-    Given ``graph = build_knn_graph(cloud, k)`` and that same k, a row with fewer
-    than k entries of W at sqrt(s) <= sqrt(r^2) is settled from W alone: W's row
-    holds the row's k nearest, so its k-th neighbour lies beyond the ball, and so
-    does every other point, ranked after it by the tree's root (ties to the lower
-    index). Its count is 1 + #{j in W's row : s <= r^2}. Roots, not sums, are
-    compared with the radius, since two sums can share one root. Unsettled rows,
-    and every row without a graph, are counted by a k-d tree query in the tree's
-    order, so the counts equal the tree's whichever way a row is counted.
+    Given its kNN graph, a row whose reach exceeds sqrt(r^2) is settled from W alone:
+    W's row holds its k nearest, and every other point, ranked after the k-th by the
+    tree's root of s (ties to the lower index), lies beyond the ball too. Its count is
+    1 + #{j in W's row : s <= r^2}; roots, not sums, meet the radius, since two sums
+    can share one root. Other rows (all of them for a given W, whose reach is 0, or
+    without a graph) go to a k-d tree query in the tree's order, so the counts equal
+    the tree's either way. W's lengths are taken only when some row settles.
     """
     if not r > 0:
         raise ValueError(f"ball radius must be positive, got {r}")
-    if (graph is None) != (k is None):
-        raise ValueError("ball_count takes a graph and its k together")
     points, exponent = cloud._units
     with np.errstate(over="ignore"):  # a radius of inf units counts every point, as it should
         radius = np.ldexp(r, -exponent)
         r2 = radius * radius
     counts = np.empty(cloud.n, dtype=np.int64)
-    unsettled = np.ones(cloud.n, dtype=bool)
+    settled = np.zeros(cloud.n, dtype=bool)
     if graph is not None:
         if graph.n != cloud.n:
             raise ValueError(f"graph has {graph.n} nodes but the cloud has {cloud.n} points")
-        # Each row of W holds its point's k nearest, so no row is empty, as reduceat needs.
-        indptr = graph.adjacency.indptr
-        if not 1 <= k <= np.diff(indptr).min():
-            raise ValueError(f"k must be between 1 and the fewest entries in a row of W, got {k}")
-        squared = _squared_lengths(points, graph.adjacency)
-        starts = indptr[:-1]
-        # Compare roots, not sums, with the radius: the tree ranks neighbours by
-        # the root, and two sums can share one.
-        unsettled = np.add.reduceat(np.sqrt(squared) <= np.sqrt(r2), starts) >= k
-        counts[~unsettled] = 1 + np.add.reduceat(squared <= r2, starts)[~unsettled]
-    if unsettled.any():
+        settled = graph.reach > np.sqrt(r2)
+        if settled.any():  # a reach > 0 comes from build_knn_graph, whose W has no empty row
+            inside = _squared_lengths(points, graph.adjacency) <= r2
+            counts[settled] = 1 + np.add.reduceat(inside, graph.adjacency.indptr[:-1])[settled]
+    if not settled.all():
         tree = cKDTree(points, balanced_tree=False)
-        order = tree.indices[unsettled[tree.indices]]
+        order = tree.indices[~settled[tree.indices]]
         counts[order] = tree.query_ball_point(
             points[order], radius, return_length=True, workers=_tree_workers(cloud.n)
         )
@@ -219,7 +217,8 @@ def build_knn_graph(cloud: PointCloud, k: int, sigma: float | None = None) -> Ne
     points, exponent = cloud._units  # every length and width below is in these units
 
     # Union symmetrization: K + K^T holds each pair twice; its upper entries (i < j) once.
-    neighbors = np.sort(_knn_select(points, k), axis=1).ravel()
+    selected, reach = _knn_select(points, k)
+    neighbors = np.sort(selected, axis=1).ravel()
     knn = sp.csr_matrix((np.ones(n * k, dtype=bool), neighbors, np.arange(0, n * k + 1, k)), (n, n))
     adjacency = knn + knn.T
     lengths = np.sqrt(_squared_lengths(points, adjacency))
@@ -241,4 +240,6 @@ def build_knn_graph(cloud: PointCloud, k: int, sigma: float | None = None) -> Ne
     # exp(-700), so the overflow is expected and harmless.
     with np.errstate(over="ignore"):
         adjacency.data = np.exp(-np.minimum((lengths / width) ** 2, _MAX_KERNEL_EXPONENT))
-    return NeighborhoodGraph(sigma=sigma, adjacency=adjacency)
+    graph = NeighborhoodGraph(sigma=sigma, adjacency=adjacency)
+    object.__setattr__(graph, "reach", _readonly(reach))  # the constructor's zeros, replaced
+    return graph

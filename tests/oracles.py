@@ -50,6 +50,19 @@ def naive_ball_count(points, r):
     return (squared <= r * r).sum(axis=1)
 
 
+def naive_reach(points, k):
+    """Each point's k-th smallest ``_tree_length`` to another point, by sorting all of them.
+
+    Every other point counts, coincident ones included; only the point itself is left
+    out. The lengths are summed in ``_tree_length``'s order, as ``naive_ball_count``'s.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    d = points[:, None, :] - points[None, :, :]
+    lengths = np.sqrt((d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) + d[..., 2] * d[..., 2])
+    np.fill_diagonal(lengths, np.inf)
+    return np.sort(lengths, axis=1)[:, k - 1]
+
+
 def naive_graph(points, k, sigma=None):
     """Dense union-symmetrized kNN graph: (W, degrees, A, L, sigma)."""
     points = np.asarray(points, dtype=np.float64)

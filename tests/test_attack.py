@@ -388,5 +388,6 @@ def test_result_types_are_frozen_values():
             if isinstance(current, np.ndarray):
                 assert not current.flags.writeable, (type(value).__name__, field.name)
     graph = values[-1]
-    assert [f.name for f in dataclasses.fields(graph)] == ["n", "sigma", "adjacency", "degrees"]
+    fields = [f.name for f in dataclasses.fields(graph)]
+    assert fields == ["n", "sigma", "adjacency", "degrees", "reach"]
     np.testing.assert_allclose(graph.transition @ np.ones(30), 1.0)  # caches on a frozen graph

@@ -180,7 +180,7 @@ def tree_queries(monkeypatch):
 class TestKnnSelection:
     def assert_matches_naive(self, pts, k):
         expected = oracles.naive_knn(pts.tolist(), k)
-        np.testing.assert_array_equal(graph_module._knn_select(pts, k), expected)
+        np.testing.assert_array_equal(graph_module._knn_select(pts, k)[0], expected)
         w = build_knn_graph(PointCloud(pts), k=k).adjacency.tocoo()
         union = {(min(i, j), max(i, j)) for i, row in enumerate(expected) for j in row}
         assert set(zip(w.row.tolist(), w.col.tolist())) == union | {(j, i) for i, j in union}
@@ -240,10 +240,9 @@ class TestKnnSelection:
         results = []
         for threshold in (1, len(pts) + 1):  # threaded, then single-threaded
             monkeypatch.setattr(graph_module, "_THREADED_QUERY_MIN_POINTS", threshold)
-            results.append((graph_module._knn_select(pts, 10), ball_count(cloud, 0.15)))
-        (threaded_knn, threaded_balls), (single_knn, single_balls) = results
-        np.testing.assert_array_equal(threaded_knn, single_knn)
-        np.testing.assert_array_equal(threaded_balls, single_balls)
+            results.append((*graph_module._knn_select(pts, 10), ball_count(cloud, 0.15)))
+        for threaded, single in zip(*results):  # neighbors, reach and ball counts
+            np.testing.assert_array_equal(threaded, single)
 
     def test_single_threaded_queries_inside_block(self):
         # A pooled share sets the rule inside a copied context; the caller's stays unset.
@@ -350,10 +349,13 @@ class TestTreeOrder:
         def neighbor_distances(p, selected):
             return np.linalg.norm(p[selected] - p[:, None], axis=2)
 
-        knn, moved_knn = graph_module._knn_select(pts, 10), graph_module._knn_select(moved, 10)
+        (knn, reach), (moved_knn, moved_reach) = (
+            graph_module._knn_select(pts, 10), graph_module._knn_select(moved, 10)
+        )
         np.testing.assert_array_equal(
             neighbor_distances(moved, moved_knn), neighbor_distances(pts, knn)[perm]
         )
+        np.testing.assert_array_equal(moved_reach, reach[perm])
         np.testing.assert_array_equal(moved_knn, oracles.naive_knn(moved.tolist(), 10))
 
 
@@ -394,6 +396,12 @@ class TestBallCountFromGraph:
         monkeypatch.setattr(graph_module, "cKDTree", RecordingTree)
         return rows
 
+    @staticmethod
+    def assert_reach(graph, cloud, k):
+        """The graph's reach, back in the cloud's scale, is the oracle's k-th length."""
+        reach = np.ldexp(graph.reach, cloud._units[1])
+        np.testing.assert_array_equal(reach, oracles.naive_reach(cloud.points, k), err_msg=f"k={k}")
+
     @pytest.mark.parametrize("kind", ["float", "decimal", "lattice"])
     def test_matches_brute_force(self, kind, tree_rows):
         # 10 clouds x k in {1, 5, 10} x 10 radii: 300 cases per kind.
@@ -403,9 +411,10 @@ class TestBallCountFromGraph:
             expected = {r: oracles.naive_ball_count(pts, r) for r in self.RADII}
             for k in (1, 5, 10):
                 graph = build_knn_graph(cloud, k)
+                self.assert_reach(graph, cloud, k)
                 for r in self.RADII:
                     tree_rows.clear()
-                    counts = ball_count(cloud, r, graph=graph, k=k)
+                    counts = ball_count(cloud, r, graph=graph)
                     np.testing.assert_array_equal(counts, expected[r], err_msg=f"k={k}, r={r}")
                     queried += sum(tree_rows)
                     total += cloud.n
@@ -427,10 +436,11 @@ class TestBallCountFromGraph:
         pts = np.vstack([int_lattice(3) / 8, [[0.0625, 0.0625, 0.0625]]])
         cloud = PointCloud(pts)
         graph = build_knn_graph(cloud, len(pts) - 1)
+        self.assert_reach(graph, cloud, len(pts) - 1)
         queried = []
         for r in (0.01, 0.125, 0.2, 0.25, 0.5):
             tree_rows.clear()
-            counts = ball_count(cloud, r, graph=graph, k=len(pts) - 1)
+            counts = ball_count(cloud, r, graph=graph)
             expected = oracles.naive_ball_count(pts, r)
             np.testing.assert_array_equal(counts, expected)
             assert sum(tree_rows) == (expected == cloud.n).sum()
@@ -455,7 +465,7 @@ class TestBallCountFromGraph:
         cloud = PointCloud(pts)
         graph = build_knn_graph(cloud, 1)
         assert graph.adjacency[0].indices.tolist() == [1]
-        counts = ball_count(cloud, r, graph=graph, k=1)
+        counts = ball_count(cloud, r, graph=graph)
         np.testing.assert_array_equal(counts, oracles.naive_ball_count(pts, r))
         assert counts[0] == 2
 
@@ -468,7 +478,7 @@ class TestBallCountFromGraph:
         # counts every point.
         cloud = PointCloud(random_cloud(3, n=50).points * scale)
         graph = build_knn_graph(cloud, 6)
-        np.testing.assert_array_equal(ball_count(cloud, r, graph=graph, k=6), np.full(50, 50))
+        np.testing.assert_array_equal(ball_count(cloud, r, graph=graph), np.full(50, 50))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -482,20 +492,53 @@ class TestBallCountFromGraph:
         pts = np.array(sites, dtype=float) / 8
         k = min(k, len(pts) - 1)
         cloud = PointCloud(pts)
-        counts = ball_count(cloud, r, graph=build_knn_graph(cloud, k), k=k)
+        counts = ball_count(cloud, r, graph=build_knn_graph(cloud, k))
         np.testing.assert_array_equal(counts, oracles.naive_ball_count(pts, r))
 
-    def test_graph_and_k_go_together(self):
+    def test_graph_must_fit_the_cloud(self):
+        # The graph carries its own reach, so ball_count takes no k beside it.
+        assert list(inspect.signature(ball_count).parameters) == ["cloud", "r", "graph"]
         cloud = random_cloud(4, n=20)
         graph = build_knn_graph(cloud, 4)
-        with pytest.raises(ValueError, match="graph and its k together"):
-            ball_count(cloud, 0.1, graph=graph)
         with pytest.raises(ValueError, match="graph has 20 nodes but the cloud has 19 points"):
-            ball_count(PointCloud(cloud.points[:19]), 0.1, graph=graph, k=4)
-        fewest = int(np.diff(graph.adjacency.indptr).min())
-        for k in (0, fewest + 1):
-            with pytest.raises(ValueError, match=f"fewest entries in a row of W, got {k}"):
-                ball_count(cloud, 0.1, graph=graph, k=k)
+            ball_count(PointCloud(cloud.points[:19]), 0.1, graph=graph)
+
+    def test_graph_built_by_hand_counts_by_the_tree(self, tree_rows):
+        # A given W carries no reach (zeros), so no row is known to hold its
+        # whole ball. W's path 0-1-2 leaves out the pair 0-2, which lies 0.05
+        # apart, inside the ball: counted from W it would be missed.
+        pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.05, 0.0, 0.0]])
+        w = sp.csr_matrix(np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.25], [0.0, 0.25, 0.0]]))
+        graph = NeighborhoodGraph(sigma=1.0, adjacency=w)
+        np.testing.assert_array_equal(graph.reach, np.zeros(3))
+        counts = ball_count(PointCloud(pts), 0.1, graph=graph)
+        np.testing.assert_array_equal(counts, oracles.naive_ball_count(pts, 0.1))
+        np.testing.assert_array_equal(counts, [2, 1, 2])
+        assert tree_rows == [3]
+
+    def test_w_is_measured_only_when_some_row_settles(self, monkeypatch, tree_rows):
+        # As on a 100k scan at the CLI defaults: when every row's k-th
+        # neighbour lies inside the ball, W's squared lengths are not taken.
+        pts = random_cloud(6, n=200).points
+        cloud = PointCloud(pts)
+        graph = build_knn_graph(cloud, 10)
+        squared_lengths, calls = graph_module._squared_lengths, []
+
+        def counting(points, pattern):
+            calls.append(pattern.nnz)
+            return squared_lengths(points, pattern)
+
+        monkeypatch.setattr(graph_module, "_squared_lengths", counting)
+        wide = 2.0 * np.linalg.norm(pts, axis=1).max()  # every ball holds the cloud
+        middle = np.median(oracles.naive_reach(pts, 10))  # about half the rows settle
+        for r, passes in ((wide, []), (middle, [graph.adjacency.nnz])):
+            calls.clear()
+            tree_rows.clear()
+            counts = ball_count(cloud, r, graph=graph)
+            np.testing.assert_array_equal(counts, oracles.naive_ball_count(pts, r))
+            assert calls == passes
+            # A row goes to the tree when its ball holds its 10 nearest: count > 10.
+            assert sum(tree_rows) == (counts > 10).sum()
 
 
 class TestSignalOps:
